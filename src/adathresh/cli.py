@@ -36,8 +36,6 @@ def _config_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--objective", choices=sorted(_OBJECTIVES))
     parser.add_argument("--bound", choices=sorted(_BOUNDS))
     parser.add_argument("--tpr-denominator", choices=["standard", "paper"])
-    parser.add_argument("--grid-points", type=int)
-    parser.add_argument("--refine-iters", type=int)
     parser.add_argument("--recompute-every", type=int)
 
 
@@ -59,8 +57,6 @@ def _build_config(args) -> AdaptConfig:
     overrides = {
         "tau": getattr(args, "tau", None),
         "epsilon": getattr(args, "epsilon", None),
-        "grid_points": getattr(args, "grid_points", None),
-        "refine_iters": getattr(args, "refine_iters", None),
         "recompute_every_n": getattr(args, "recompute_every", None),
         "tpr_denominator": getattr(args, "tpr_denominator", None),
     }

@@ -13,7 +13,7 @@ import numpy as np
 from .errors import InputContractError
 from .gallery import FLOAT_FORMAT, Embedding, Gallery
 from .metrics import metrics_at, roc_sweep
-from .optimizer import AdaptConfig, adapt, optimize_f1
+from .optimizer import AdaptConfig, _adapt_built, optimize_f1
 from .similarity import build_distributions
 
 ROW_COLUMNS = (
@@ -161,7 +161,7 @@ def run_incremental(
             and float(np.mean(dist.auto_samples)) > float(np.mean(dist.cross_samples))
         )
         if means_ordered:
-            state = adapt(gallery, state, config)
+            state = _adapt_built(gallery, dist, state, config)
         if means_ordered and state is not None:
             adaptive_lambda = state.lambda_current
         else:
@@ -389,6 +389,7 @@ def simulate_stream(
         queries = _query_stream(queries)
     events = []
     novel_count = 0
+    taken = set(gallery.identities) if auto_register else set()
     for q in queries:
         result = gallery.match_query(q.vector, threshold)
         if result.matched:
@@ -399,7 +400,7 @@ def simulate_stream(
         elif auto_register:
             novel_count += 1
             label = f"{novel_prefix}-{novel_count:04d}"
-            while label in gallery.identities:
+            while label in taken:
                 novel_count += 1
                 label = f"{novel_prefix}-{novel_count:04d}"
             gallery.register(label, q.vector)

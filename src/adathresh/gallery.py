@@ -178,7 +178,7 @@ class Gallery:
             self._save_csv(path)
 
     def _save_csv(self, path: Path) -> None:
-        with open(path, "w", newline="") as fh:
+        with open(path, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
             writer.writerow(
                 ["identity", "instance_id"] + [f"v{i}" for i in range(self.dimension)]
@@ -209,7 +209,7 @@ class Gallery:
                 for e in embs
             ],
         }
-        with open(path, "w") as fh:
+        with open(path, "w", encoding="utf-8") as fh:
             json.dump(payload, fh, indent=2)
             fh.write("\n")
 
@@ -226,25 +226,28 @@ class Gallery:
     @classmethod
     def _load_csv(cls, path: Path) -> "Gallery":
         meta: dict[str, int] = {}
-        rows = []
-        with open(path, newline="") as fh:
-            for raw in fh:
-                stripped = raw.strip()
-                if not stripped:
+        rows = []  # (file line the row ends on, its fields)
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
+            for row in reader:
+                if len(row) > 1:
+                    rows.append((reader.line_num, row))
                     continue
-                if stripped.startswith("#"):
-                    body = stripped.lstrip("#").strip()
-                    if "=" in body:
-                        key, _, value = body.partition("=")
+                # one field: a blank line, a comment (the saved counters are
+                # "# key=value" comments) or a malformed data row
+                body = "".join(row).strip()
+                if body.startswith("#"):
+                    key, eq, value = body.lstrip("#").partition("=")
+                    if eq:
                         try:
                             meta[key.strip()] = int(value)
                         except ValueError:
                             pass
-                    continue
-                rows.append(next(csv.reader([raw])))
+                elif body:
+                    rows.append((reader.line_num, row))
         if not rows:
             raise GalleryFormatError(f"{path}: empty file, no header row")
-        header = rows[0]
+        _, header = rows[0]
         if (
             len(header) < 4
             or header[0] != "identity"
@@ -254,7 +257,7 @@ class Gallery:
             raise GalleryFormatError(f"{path}: unrecognized header {header!r}")
         dimension = len(header) - 2
         gallery = cls(dimension)
-        for lineno, row in enumerate(rows[1:], start=2):
+        for lineno, row in rows[1:]:
             if len(row) != dimension + 2:
                 raise GalleryFormatError(
                     f"{path}:{lineno}: row has {len(row) - 2} values, expected {dimension}"
@@ -273,7 +276,7 @@ class Gallery:
     @classmethod
     def _load_json(cls, path: Path) -> "Gallery":
         try:
-            with open(path) as fh:
+            with open(path, encoding="utf-8") as fh:
                 payload = json.load(fh)
         except json.JSONDecodeError as exc:
             raise GalleryFormatError(f"{path}: invalid JSON: {exc}") from exc

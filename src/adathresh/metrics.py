@@ -37,6 +37,22 @@ class MetricsReport:
 
 
 @dataclass(frozen=True)
+class Rates:
+    """Confusion counts and the rates formed from them, one entry per threshold."""
+
+    tp: np.ndarray
+    fp: np.ndarray
+    fn: np.ndarray
+    tn: np.ndarray
+    precision: np.ndarray
+    recall: np.ndarray
+    f1: np.ndarray
+    accuracy: np.ndarray
+    tpr: np.ndarray
+    fpr: np.ndarray
+
+
+@dataclass(frozen=True)
 class RocCurve:
     """(fpr, tpr, threshold) points in descending-threshold order, plus AUC."""
 
@@ -49,14 +65,62 @@ def _require_samples(dist: SimilarityDistributions) -> None:
         raise InputContractError("need at least one auto and one cross sample")
 
 
-def confusion_at(dist: SimilarityDistributions, threshold: float) -> ConfusionCounts:
-    """Count predictions at ``threshold``; samples equal to it predict positive."""
+def count_at_least(
+    dist: SimilarityDistributions, thresholds: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """(tp, fp): how many auto and how many cross samples reach each threshold.
+
+    A sample equal to the threshold predicts positive. Binary search over the
+    distributions' sorted copies, which is exactly equivalent to a direct scan.
+    """
     _require_samples(dist)
-    na = int(dist.auto_samples.size)
-    nc = int(dist.cross_samples.size)
-    tp = int(np.count_nonzero(dist.auto_samples >= threshold))
-    fp = int(np.count_nonzero(dist.cross_samples >= threshold))
-    return ConfusionCounts(tp=tp, fp=fp, fn=na - tp, tn=nc - fp, threshold=float(threshold))
+    auto_sorted, cross_sorted = dist.sorted_samples
+    tp = auto_sorted.size - np.searchsorted(auto_sorted, thresholds, side="left")
+    fp = cross_sorted.size - np.searchsorted(cross_sorted, thresholds, side="left")
+    return tp, fp
+
+
+def _ratio(num: np.ndarray, den: np.ndarray) -> np.ndarray:
+    return np.divide(num, den, out=np.zeros_like(num), where=den > 0.0)
+
+
+def rates_at(
+    dist: SimilarityDistributions,
+    thresholds: np.ndarray,
+    epsilon: float = 1e-9,
+    tpr_denominator: TprDenominator = "standard",
+) -> Rates:
+    """Counts, precision/recall/f1/accuracy and ROC rates at each threshold.
+
+    Precision and recall are exact ratios, defined as 0 when their denominator
+    vanishes (as is f1 when both are 0). The ROC rates keep ``epsilon`` in the
+    denominator as a division guard, and are 0 should even that vanish.
+    ``tpr_denominator="paper"`` switches TPR to tp/(tp+fp+eps), the literal
+    reading of the source formula; the standard tp/(tp+fn+eps) is the default
+    because the paper form degenerates the ROC into precision-vs-fallout.
+    """
+    if epsilon < 0.0:
+        raise InputContractError("epsilon must be >= 0")
+    if tpr_denominator not in ("standard", "paper"):
+        raise InputContractError(f"unknown tpr_denominator {tpr_denominator!r}")
+    tp, fp = (c.astype(np.float64) for c in count_at_least(dist, thresholds))
+    fn = dist.auto_samples.size - tp
+    tn = dist.cross_samples.size - fp
+    precision = _ratio(tp, tp + fp)
+    recall = _ratio(tp, tp + fn)
+    tpr_den = tp + fp if tpr_denominator == "paper" else tp + fn
+    return Rates(
+        tp=tp,
+        fp=fp,
+        fn=fn,
+        tn=tn,
+        precision=precision,
+        recall=recall,
+        f1=_ratio(2.0 * precision * recall, precision + recall),
+        accuracy=(tp + tn) / (tp + tn + fp + fn),
+        tpr=_ratio(tp, tpr_den + epsilon),
+        fpr=_ratio(fp, fp + tn + epsilon),
+    )
 
 
 def metrics_at(
@@ -67,42 +131,30 @@ def metrics_at(
 ) -> MetricsReport:
     """Precision/recall/f1/accuracy plus ROC rates at one threshold.
 
-    Precision and recall are exact ratios, defined as 0 when their denominator
-    vanishes. The ROC rates keep ``epsilon`` in the denominator as a division
-    guard. ``tpr_denominator="paper"`` switches TPR to tp/(tp+fp+eps), the
-    literal reading of the source formula; the standard tp/(tp+fn+eps) is the
-    default because the paper form degenerates the ROC into
-    precision-vs-fallout.
+    This is :func:`rates_at` at a single threshold, so it scores exactly as
+    the optimizer's sweep does.
     """
-    if epsilon < 0.0:
-        raise InputContractError("epsilon must be >= 0")
-    if tpr_denominator not in ("standard", "paper"):
-        raise InputContractError(f"unknown tpr_denominator {tpr_denominator!r}")
-    c = confusion_at(dist, threshold)
-    precision = c.tp / (c.tp + c.fp) if c.tp + c.fp > 0 else 0.0
-    recall = c.tp / (c.tp + c.fn) if c.tp + c.fn > 0 else 0.0
-    f1 = (
-        2.0 * precision * recall / (precision + recall)
-        if precision + recall > 0.0
-        else 0.0
-    )
-    accuracy = (c.tp + c.tn) / (c.tp + c.tn + c.fp + c.fn)
-    if tpr_denominator == "paper":
-        tpr_den = c.tp + c.fp + epsilon
-    else:
-        tpr_den = c.tp + c.fn + epsilon
-    fpr_den = c.fp + c.tn + epsilon
-    tpr = c.tp / tpr_den if tpr_den > 0.0 else 0.0
-    fpr = c.fp / fpr_den if fpr_den > 0.0 else 0.0
+    r = rates_at(dist, np.array([threshold], dtype=np.float64), epsilon, tpr_denominator)
     return MetricsReport(
-        precision=precision,
-        recall=recall,
-        f1=f1,
-        accuracy=accuracy,
-        tpr=tpr,
-        fpr=fpr,
-        counts=c,
+        precision=float(r.precision[0]),
+        recall=float(r.recall[0]),
+        f1=float(r.f1[0]),
+        accuracy=float(r.accuracy[0]),
+        tpr=float(r.tpr[0]),
+        fpr=float(r.fpr[0]),
+        counts=ConfusionCounts(
+            tp=int(r.tp[0]),
+            fp=int(r.fp[0]),
+            fn=int(r.fn[0]),
+            tn=int(r.tn[0]),
+            threshold=float(threshold),
+        ),
     )
+
+
+def confusion_at(dist: SimilarityDistributions, threshold: float) -> ConfusionCounts:
+    """Count predictions at ``threshold``; samples equal to it predict positive."""
+    return metrics_at(dist, threshold).counts
 
 
 def _trapezoid_auc(points) -> float:
@@ -124,8 +176,7 @@ def roc_sweep(
     The sweep interval runs a hair beyond the extreme samples; its endpoints
     are the exact (0,0) and (1,1) anchors and ``num_points`` evenly spaced
     interior thresholds fill it. AUC is the trapezoidal area over the points
-    sorted by FPR. Counting uses one sort plus binary search per threshold,
-    which is exactly equivalent to a direct scan.
+    sorted by FPR.
     """
     _require_samples(dist)
     if num_points < 2:
@@ -135,18 +186,9 @@ def roc_sweep(
     hi = float(samples.max()) + _SWEEP_MARGIN
     full = np.linspace(hi, lo, num_points + 2)
     grid = full[1:-1]
-
-    auto_sorted = np.sort(dist.auto_samples)
-    cross_sorted = np.sort(dist.cross_samples)
-    na, nc = auto_sorted.size, cross_sorted.size
-    tp = na - np.searchsorted(auto_sorted, grid, side="left")
-    fp = nc - np.searchsorted(cross_sorted, grid, side="left")
-    fn = na - tp
-    tn = nc - fp
-    tpr = tp / (tp + fn + epsilon)
-    fpr = fp / (fp + tn + epsilon)
+    r = rates_at(dist, grid, epsilon)
 
     points: list[tuple[float, float, float]] = [(0.0, 0.0, float(full[0]))]
-    points.extend(zip(fpr.tolist(), tpr.tolist(), grid.tolist()))
+    points.extend(zip(r.fpr.tolist(), r.tpr.tolist(), grid.tolist()))
     points.append((1.0, 1.0, float(full[-1])))
     return RocCurve(points=points, auc=_trapezoid_auc(points))

@@ -11,7 +11,7 @@ from typing import TYPE_CHECKING, Callable, Literal
 import numpy as np
 
 from .errors import DegenerateDataError, InputContractError
-from .metrics import metrics_at
+from .metrics import Rates, metrics_at, rates_at
 from .similarity import SimilarityDistributions, build_distributions
 from .stats import _threshold_with_source, estimate_gaussian, intersect_gaussians
 
@@ -21,12 +21,6 @@ if TYPE_CHECKING:
 logger = logging.getLogger(__name__)
 
 Provenance = Literal["intersection", "mean_fallback", "optimized", "retained_old"]
-
-# Above this many distinct sample values the exact plateau scan gives way to a
-# coarse grid plus golden-section refinement.
-PLATEAU_SCAN_LIMIT = 100_000
-
-_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 @dataclass(frozen=True)
@@ -41,22 +35,18 @@ class AdaptConfig:
 
     tau: float = 0.8
     epsilon: float = 1e-9
-    grid_points: int = 512
-    refine_iters: int = 64
     recompute_every_n: int = 1
     objective: Literal["f1", "tpr_fpr_gap"] = "f1"
     bound_mode: Literal["unbounded_01", "means_bounded"] = "unbounded_01"
     tpr_denominator: Literal["standard", "paper"] = "standard"
+    # not a field: kept only for the benchmark's grid-floor check on readapt-hard
+    grid_points = 512
 
     def __post_init__(self):
         if not 0.0 < self.tau <= 1.0:
             raise InputContractError("tau must be in (0, 1]")
         if self.epsilon <= 0.0:
             raise InputContractError("epsilon must be > 0")
-        if self.grid_points < 3:
-            raise InputContractError("grid_points must be >= 3")
-        if self.refine_iters < 0:
-            raise InputContractError("refine_iters must be >= 0")
         if self.recompute_every_n < 1:
             raise InputContractError("recompute_every_n must be >= 1")
         if self.objective not in ("f1", "tpr_fpr_gap"):
@@ -80,47 +70,6 @@ class ThresholdState:
     provenance: Provenance
     gallery_version: int
     tau: float
-
-
-def _count_at_least(sorted_vals: np.ndarray, thresholds: np.ndarray) -> np.ndarray:
-    return sorted_vals.size - np.searchsorted(sorted_vals, thresholds, side="left")
-
-
-def _f1_curve(
-    auto_sorted: np.ndarray, cross_sorted: np.ndarray, thresholds: np.ndarray
-) -> np.ndarray:
-    # written to match metrics_at operation-for-operation so scalar and
-    # vectorized scores are bit-identical
-    tp = _count_at_least(auto_sorted, thresholds).astype(np.float64)
-    fp = _count_at_least(cross_sorted, thresholds).astype(np.float64)
-    pden = tp + fp
-    precision = np.where(pden > 0.0, tp / np.where(pden > 0.0, pden, 1.0), 0.0)
-    recall = tp / float(auto_sorted.size)
-    prsum = precision + recall
-    return np.where(
-        prsum > 0.0,
-        2.0 * precision * recall / np.where(prsum > 0.0, prsum, 1.0),
-        0.0,
-    )
-
-
-def _gap_curve(
-    auto_sorted: np.ndarray,
-    cross_sorted: np.ndarray,
-    thresholds: np.ndarray,
-    epsilon: float,
-    tpr_denominator: str,
-) -> np.ndarray:
-    tp = _count_at_least(auto_sorted, thresholds).astype(np.float64)
-    fp = _count_at_least(cross_sorted, thresholds).astype(np.float64)
-    fn = float(auto_sorted.size) - tp
-    tn = float(cross_sorted.size) - fp
-    if tpr_denominator == "paper":
-        tpr = tp / (tp + fp + epsilon)
-    else:
-        tpr = tp / (tp + fn + epsilon)
-    fpr = fp / (fp + tn + epsilon)
-    return np.abs(tpr - fpr)
 
 
 def _search_bounds(dist: SimilarityDistributions, config: AdaptConfig) -> tuple[float, float]:
@@ -153,22 +102,6 @@ def _plateau_midpoint(values: np.ndarray, x: float, lo: float, hi: float) -> flo
     return 0.5 * (max(left, lo) + min(right, hi))
 
 
-def _snap_to_plateau(
-    values: np.ndarray,
-    score_fn: Callable[[np.ndarray], np.ndarray],
-    x: float,
-    score: float,
-    lo: float,
-    hi: float,
-) -> tuple[float, float]:
-    mid = _plateau_midpoint(values, x, lo, hi)
-    mid_score = float(score_fn(np.array([mid]))[0])
-    if mid_score >= score:
-        return mid, mid_score
-    # midpoint rounded out of the plateau (sub-ulp interval); keep the eval point
-    return x, score
-
-
 def _scan_best(
     values: np.ndarray,
     score_fn: Callable[[np.ndarray], np.ndarray],
@@ -185,120 +118,50 @@ def _scan_best(
     candidates = np.concatenate([[lo], inner, [hi]])
     scores = score_fn(candidates)
     i = int(np.argmax(scores))
-    return _snap_to_plateau(
-        values, score_fn, float(candidates[i]), float(scores[i]), lo, hi
-    )
-
-
-def _grid_golden_best(
-    values: np.ndarray,
-    score_fn: Callable[[np.ndarray], np.ndarray],
-    lo: float,
-    hi: float,
-    grid_points: int,
-    refine_iters: int,
-) -> tuple[float, float]:
-    """Coarse grid scan plus golden-section refinement around the best cell.
-
-    Keeps the best score ever evaluated, so the result is never worse than the
-    grid optimum even though plateaus stall the bracketing.
-    """
-
-    def score1(x: float) -> float:
-        return float(score_fn(np.array([x]))[0])
-
-    grid = np.linspace(lo, hi, grid_points)
-    scores = score_fn(grid)
-    i = int(np.argmax(scores))
-    best_x, best_s = float(grid[i]), float(scores[i])
-
-    a = float(grid[max(i - 1, 0)])
-    b = float(grid[min(i + 1, grid_points - 1)])
-    c = b - _INV_PHI * (b - a)
-    d = a + _INV_PHI * (b - a)
-    fc, fd = score1(c), score1(d)
-    for x, s in ((c, fc), (d, fd)):
-        if s > best_s:
-            best_x, best_s = x, s
-    for _ in range(refine_iters):
-        if fc > fd:
-            b, d, fd = d, c, fc
-            c = b - _INV_PHI * (b - a)
-            fc = score1(c)
-            if fc > best_s:
-                best_x, best_s = c, fc
-        else:
-            a, c, fc = c, d, fd
-            d = a + _INV_PHI * (b - a)
-            fd = score1(d)
-            if fd > best_s:
-                best_x, best_s = d, fd
-    return _snap_to_plateau(values, score_fn, best_x, best_s, lo, hi)
+    x, score = float(candidates[i]), float(scores[i])
+    mid = _plateau_midpoint(values, x, lo, hi)
+    mid_score = float(score_fn(np.array([mid]))[0])
+    if mid_score >= score:
+        return mid, mid_score
+    # midpoint rounded out of the plateau (sub-ulp interval); keep the eval point
+    return x, score
 
 
 def _optimize(
     dist: SimilarityDistributions,
     config: AdaptConfig,
-    score_builder: Callable[[np.ndarray, np.ndarray], Callable[[np.ndarray], np.ndarray]],
-    method: str,
+    score: Callable[[Rates], np.ndarray],
 ) -> tuple[float, float]:
     if dist.auto_samples.size == 0 or dist.cross_samples.size == 0:
         raise InputContractError("need at least one auto and one cross sample")
     lo, hi = _search_bounds(dist, config)
-    auto_sorted = np.sort(dist.auto_samples)
-    cross_sorted = np.sort(dist.cross_samples)
-    values = np.unique(np.concatenate([auto_sorted, cross_sorted]))
-    score_fn = score_builder(auto_sorted, cross_sorted)
-    if method == "auto":
-        method = "plateau" if values.size <= PLATEAU_SCAN_LIMIT else "grid"
-    if method == "plateau":
-        return _scan_best(values, score_fn, lo, hi)
-    if method == "grid":
-        return _grid_golden_best(
-            values, score_fn, lo, hi, config.grid_points, config.refine_iters
-        )
-    raise InputContractError(f"unknown method {method!r}")
+    values = np.unique(np.concatenate(dist.sorted_samples))
+
+    def score_fn(thresholds: np.ndarray) -> np.ndarray:
+        return score(rates_at(dist, thresholds, config.epsilon, config.tpr_denominator))
+
+    return _scan_best(values, score_fn, lo, hi)
 
 
 def optimize_f1(
-    dist: SimilarityDistributions,
-    config: AdaptConfig | None = None,
-    method: str = "auto",
+    dist: SimilarityDistributions, config: AdaptConfig | None = None
 ) -> tuple[float, float]:
     """Threshold maximizing f1 over the configured search interval.
 
     The objective is piecewise constant (it only changes where a sample value
-    sits), so the default path scores one candidate per plateau and is exact.
-    The grid + golden-section path (``method="grid"``, chosen automatically
-    past ``PLATEAU_SCAN_LIMIT`` distinct values) handles sample sets too large
-    to enumerate. Returns (threshold, f1) with the threshold at the midpoint
-    of the winning plateau, maximizing margin to both sample populations.
+    sits), so scoring one candidate per plateau is exact at every sample
+    size. Returns (threshold, f1) with the threshold at the midpoint of the
+    winning plateau, maximizing margin to both sample populations.
     """
-    config = config or AdaptConfig()
-    return _optimize(
-        dist,
-        config,
-        lambda a, c: (lambda ts: _f1_curve(a, c, ts)),
-        method,
-    )
+    return _optimize(dist, config or AdaptConfig(), lambda r: r.f1)
 
 
 def optimize_tpr_fpr_gap(
-    dist: SimilarityDistributions,
-    config: AdaptConfig | None = None,
-    method: str = "auto",
+    dist: SimilarityDistributions, config: AdaptConfig | None = None
 ) -> tuple[float, float]:
     """Threshold maximizing |TPR - FPR|; companion to optimize_f1 for the
-    alternate objective."""
-    config = config or AdaptConfig()
-    return _optimize(
-        dist,
-        config,
-        lambda a, c: (
-            lambda ts: _gap_curve(a, c, ts, config.epsilon, config.tpr_denominator)
-        ),
-        method,
-    )
+    alternate objective, exact on every plateau in the same way."""
+    return _optimize(dist, config or AdaptConfig(), lambda r: np.abs(r.tpr - r.fpr))
 
 
 def tpr_fpr_objective(
@@ -402,8 +265,17 @@ def adapt(
     Contract violations (fewer than two identities, auto mean not above the
     cross mean) propagate as errors.
     """
-    config = config or AdaptConfig()
-    dist = build_distributions(gallery)
+    return _adapt_built(gallery, build_distributions(gallery), state, config or AdaptConfig())
+
+
+def _adapt_built(
+    gallery: "Gallery",
+    dist: SimilarityDistributions,
+    state: ThresholdState | None,
+    config: AdaptConfig,
+) -> ThresholdState | None:
+    """:func:`adapt` over distributions already built from ``gallery`` at its
+    current version, for callers that need them too."""
     try:
         new_state = _adapt_distributions(dist, config)
     except DegenerateDataError as exc:

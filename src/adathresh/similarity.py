@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
+from functools import cached_property
 from typing import TYPE_CHECKING, Literal
 
 import numpy as np
@@ -89,6 +90,12 @@ class SimilarityDistributions:
     def estimable(self) -> bool:
         """True when both sides have enough samples (>= 2) to fit a Gaussian."""
         return self.auto_samples.size >= 2 and self.cross_samples.size >= 2
+
+    @cached_property
+    def sorted_samples(self) -> tuple[np.ndarray, np.ndarray]:
+        """Ascending copies of (auto, cross), sorted once and shared by every
+        threshold count; the public sample arrays keep their order."""
+        return np.sort(self.auto_samples), np.sort(self.cross_samples)
 
 
 def _pairs_from_identities(identities, reducer: str) -> list[IdentityPair]:

@@ -59,6 +59,12 @@ def naive_f1(auto, cross, threshold) -> float:
     return 2.0 * precision * recall / (precision + recall)
 
 
+def naive_gap(auto, cross, threshold, epsilon=1e-9, tpr_denominator="standard") -> float:
+    tp, fp, fn, tn = naive_confusion(auto, cross, threshold)
+    tpr_den = (tp + fp if tpr_denominator == "paper" else tp + fn) + epsilon
+    return abs(tp / tpr_den - fp / (fp + tn + epsilon))
+
+
 def plateau_candidates(auto, cross, lo=0.0, hi=1.0):
     """One threshold per plateau: both bounds plus every in-bound sample value."""
     values = sorted(set(float(s) for s in auto) | set(float(s) for s in cross))

@@ -93,7 +93,7 @@ class TestAdapt:
 
     def test_config_file_with_cli_override(self, synth_file, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"tau": 0.85, "grid_points": 64}))
+        cfg.write_text(json.dumps({"tau": 0.85, "recompute_every_n": 4}))
         code = main(
             ["adapt", "--gallery", str(synth_file), "--config", str(cfg), "--tau", "0.95"]
         )
@@ -103,6 +103,12 @@ class TestAdapt:
     def test_unknown_config_key_exit_2(self, synth_file, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"target": 0.8}))
+        code = main(["adapt", "--gallery", str(synth_file), "--config", str(cfg)])
+        assert code == EXIT_CONTRACT
+
+    def test_removed_config_key_exit_2(self, synth_file, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"tau": 0.85, "refine_iters": 64}))
         code = main(["adapt", "--gallery", str(synth_file), "--config", str(cfg)])
         assert code == EXIT_CONTRACT
 

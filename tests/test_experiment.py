@@ -4,6 +4,8 @@ import json
 import numpy as np
 import pytest
 
+import adathresh.experiment
+import adathresh.optimizer
 from adathresh import (
     AdaptConfig,
     ExperimentRow,
@@ -107,6 +109,29 @@ class TestRunIncremental:
         g = generate_synthetic(small_spec())
         with pytest.raises(InputContractError):
             run_incremental(g, AdaptConfig(), [0.5], identity_order="random")
+
+    def test_one_build_per_step_and_rows_as_with_public_adapt(self, monkeypatch):
+        g = generate_synthetic(small_spec(num_identities=10, within_spread=0.5))
+        config = AdaptConfig(tau=0.99)
+        builds = []
+
+        def counted_build(gallery):
+            builds.append(gallery.change_counter)
+            return build_distributions(gallery)
+
+        monkeypatch.setattr(adathresh.experiment, "build_distributions", counted_build)
+        monkeypatch.setattr(adathresh.optimizer, "build_distributions", counted_build)
+        rows = run_incremental(g, config, [0.5])
+        assert len(builds) == 9  # steps 2..10, one build each
+        assert len(set(builds)) == 9
+
+        def public_adapt(gallery, dist, state, config):
+            return adathresh.optimizer.adapt(gallery, state, config)
+
+        builds.clear()
+        monkeypatch.setattr(adathresh.experiment, "_adapt_built", public_adapt)
+        assert run_incremental(g, config, [0.5]) == rows
+        assert len(builds) > 9  # the public adapt built its own distributions
 
 
 class TestGenerateSynthetic:
@@ -327,6 +352,17 @@ class TestSimulateStream:
         )
         assert events[0].action == "registered"
         assert "novel-0001" in g.identities
+
+    def test_novel_labels_skip_taken_ones(self):
+        g = self.make_gallery()
+        g.register("novel-0002", [1, 1, 0])
+        q = Gallery(3)
+        q.register("x", [0, 0, 1])
+        q.register("y", [0, 0, -1])
+        queries = q.embeddings_of("x") + q.embeddings_of("y")
+        simulate_stream(g, queries, threshold=0.99, auto_register=True)
+        simulate_stream(g, queries[:1], threshold=1.1, auto_register=True)
+        assert g.identities[-3:] == ["novel-0001", "novel-0003", "novel-0004"]
 
     def test_append_matched_policy(self):
         g = self.make_gallery()

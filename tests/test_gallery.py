@@ -1,7 +1,11 @@
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from adathresh import (
     DimensionMismatchError,
@@ -246,6 +250,17 @@ class TestPersistence:
         with pytest.raises(GalleryFormatError):
             Gallery.load(path)
 
+    def test_error_names_the_file_line(self, tmp_path):
+        path = tmp_path / "junk.csv"
+        path.write_text(
+            "identity,instance_id,v0,v1\n"
+            '"a\nb",e1,1.0,0.0\n'
+            "# note\n"
+            "b,e2,1.0,zebra\n"
+        )
+        with pytest.raises(GalleryFormatError, match=r"junk\.csv:5: "):
+            Gallery.load(path)
+
     def test_zero_row_rejected(self, tmp_path):
         path = tmp_path / "zero.csv"
         path.write_text(
@@ -270,6 +285,29 @@ class TestPersistence:
     def test_missing_file(self, tmp_path):
         with pytest.raises(InputContractError):
             Gallery.load(tmp_path / "absent.csv")
+
+    def test_comment_like_label_survives_csv(self, tmp_path):
+        g = Gallery(2)
+        g.register("#tag", [1.0, 0.0])
+        g.register("bob", [0.0, 1.0])
+        assert self.round_trip(g, tmp_path / "g.csv").identities == ["#tag", "bob"]
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        entries=st.lists(
+            st.tuples(st.text(min_size=1), st.text(min_size=1)),
+            min_size=1,
+            max_size=6,
+            unique_by=lambda entry: entry[1],
+        )
+    )
+    def test_any_label_and_id_round_trip(self, entries):
+        g = Gallery(2)
+        for k, (label, instance_id) in enumerate(entries):
+            g.register(label, [1.0, float(k)], instance_id=instance_id)
+        with tempfile.TemporaryDirectory() as tmp:
+            for name in ("g.csv", "g.json"):
+                self.round_trip(g, Path(tmp) / name)
 
 
 class TestConcurrency:

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from adathresh import (
     AdaptConfig,
@@ -20,7 +22,13 @@ from adathresh import (
     select_threshold,
     tpr_fpr_objective,
 )
-from conftest import clustered_gallery, naive_f1, plateau_oracle_max
+from conftest import (
+    clustered_gallery,
+    naive_f1,
+    naive_gap,
+    plateau_candidates,
+    plateau_oracle_max,
+)
 
 THREE_V_THREE = SimilarityDistributions([0.2, 0.6, 0.8], [0.1, 0.3, 0.7])
 
@@ -82,25 +90,79 @@ class TestOptimizeF1:
             checked += 1
         assert checked > 20
 
-    def test_grid_path_agrees_on_small_instances(self):
-        # plateaus here are far wider than the 1/511 grid spacing
-        rng = np.random.default_rng(73)
-        for _ in range(20):
-            dist = SimilarityDistributions(
-                rng.uniform(0.3, 1.0, size=12), rng.uniform(0.0, 0.7, size=12)
-            )
-            lam_p, f1_p = optimize_f1(dist, method="plateau")
-            lam_g, f1_g = optimize_f1(dist, method="grid")
-            assert f1_g == f1_p
-            assert lam_g == pytest.approx(lam_p, abs=1e-12)
-
-    def test_unknown_method_rejected(self):
-        with pytest.raises(InputContractError):
-            optimize_f1(THREE_V_THREE, method="newton")
-
     def test_empty_side_rejected(self):
         with pytest.raises(InputContractError):
             optimize_f1(SimilarityDistributions([], [0.1]))
+
+    def test_exact_above_a_hundred_thousand_distinct_values(self):
+        # a seed on which a 512-point grid with golden-section refinement
+        # misses the optimum (f1 0.56373 against 0.56530)
+        rng = np.random.default_rng(4)
+        auto = rng.uniform(0.4, 1.0, size=400)
+        cross = rng.uniform(0.0, 0.8, size=120_000)
+        lam, f1 = optimize_f1(SimilarityDistributions(auto, cross))
+        # oracle: cumulative counts over the merged distinct values, where
+        # every sample lies inside (0, 1)
+        values, inverse = np.unique(np.concatenate([auto, cross]), return_inverse=True)
+        assert values.size > 100_000
+
+        def at_or_above(side):
+            return np.cumsum(np.bincount(side, minlength=values.size)[::-1])[::-1]
+
+        tp = at_or_above(inverse[: auto.size]).astype(np.float64)
+        fp = at_or_above(inverse[auto.size :]).astype(np.float64)
+        precision = tp / (tp + fp)
+        recall = tp / auto.size
+        oracle = np.where(tp > 0, 2.0 * precision * recall / (precision + recall), 0.0)
+        assert f1 == oracle.max()
+        assert metrics_at(SimilarityDistributions(auto, cross), lam).f1 == f1
+
+
+# sample values with ties, duplicates across the two sides, and values
+# outside [0, 1]
+SAMPLES = st.lists(
+    st.one_of(
+        st.sampled_from([-0.25, 0.0, 0.3, 0.5, 1.0, 1.25]),
+        st.floats(-0.5, 1.5, allow_nan=False),
+    ),
+    min_size=1,
+    max_size=30,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    auto=SAMPLES,
+    cross=SAMPLES,
+    objective=st.sampled_from(["f1", "tpr_fpr_gap"]),
+    bound_mode=st.sampled_from(["unbounded_01", "means_bounded"]),
+    tpr_denominator=st.sampled_from(["standard", "paper"]),
+)
+def test_sweep_is_exact_on_every_plateau(auto, cross, objective, bound_mode, tpr_denominator):
+    dist = SimilarityDistributions(auto, cross)
+    config = AdaptConfig(
+        objective=objective, bound_mode=bound_mode, tpr_denominator=tpr_denominator
+    )
+    lo, hi = 0.0, 1.0
+    if bound_mode == "means_bounded":
+        mean_auto = float(np.mean(dist.auto_samples))
+        mean_cross = float(np.mean(dist.cross_samples))
+        lo, hi = max(mean_cross, 0.0), min(mean_auto, 1.0)
+        assume(mean_auto > mean_cross and hi >= lo)
+    eps = config.epsilon
+    if objective == "f1":
+        lam, score = optimize_f1(dist, config)
+        oracle = max(naive_f1(auto, cross, t) for t in plateau_candidates(auto, cross, lo, hi))
+        assert metrics_at(dist, lam, eps, tpr_denominator).f1 == score
+    else:
+        lam, score = optimize_tpr_fpr_gap(dist, config)
+        oracle = max(
+            naive_gap(auto, cross, t, eps, tpr_denominator)
+            for t in plateau_candidates(auto, cross, lo, hi)
+        )
+        assert tpr_fpr_objective(dist, lam, eps, tpr_denominator) == score
+    assert score == oracle
+    assert lo <= lam <= hi
 
 
 class TestTprFprObjective:
@@ -298,8 +360,6 @@ class TestAdaptConfig:
         c = AdaptConfig()
         assert c.tau == 0.8
         assert c.epsilon == 1e-9
-        assert c.grid_points == 512
-        assert c.refine_iters == 64
         assert c.recompute_every_n == 1
         assert c.objective == "f1"
         assert c.bound_mode == "unbounded_01"
@@ -310,7 +370,6 @@ class TestAdaptConfig:
             {"tau": 0.0},
             {"tau": 1.2},
             {"epsilon": 0.0},
-            {"grid_points": 2},
             {"recompute_every_n": 0},
             {"objective": "accuracy"},
             {"bound_mode": "everything"},
