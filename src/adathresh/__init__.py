@@ -51,10 +51,8 @@ from .optimizer import (
     tpr_fpr_objective,
 )
 from .similarity import (
-    IdentityPair,
     SimilarityDistributions,
     build_distributions,
-    build_identity_pairs,
     cosine_distance,
     cosine_similarity,
     euclidean_distance,
@@ -85,7 +83,6 @@ __all__ = [
     "GalleryFormatError",
     "GaussianEstimate",
     "HistogramSummary",
-    "IdentityPair",
     "InputContractError",
     "IntersectionResult",
     "KindSummary",
@@ -100,7 +97,6 @@ __all__ = [
     "ZeroVectorError",
     "adapt",
     "build_distributions",
-    "build_identity_pairs",
     "confusion_at",
     "cosine_distance",
     "cosine_similarity",

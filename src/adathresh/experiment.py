@@ -389,7 +389,7 @@ def simulate_stream(
         queries = _query_stream(queries)
     events = []
     novel_count = 0
-    taken = set(gallery.identities) if auto_register else set()
+    taken = None  # the gallery's labels, gathered when a novel label is first needed
     for q in queries:
         result = gallery.match_query(q.vector, threshold)
         if result.matched:
@@ -398,6 +398,8 @@ def simulate_stream(
                 gallery.register(result.identity, q.vector)
                 action = "appended"
         elif auto_register:
+            if taken is None:
+                taken = set(gallery.identities)
             novel_count += 1
             label = f"{novel_prefix}-{novel_count:04d}"
             while label in taken:

@@ -17,6 +17,7 @@ from .errors import (
     InputContractError,
     ZeroVectorError,
 )
+from .similarity import unit_vector
 
 # 17 significant digits round-trips any float64 exactly through decimal text.
 FLOAT_FORMAT = ".17g"
@@ -44,6 +45,15 @@ class Gallery:
     Single-writer, multiple-reader: mutations serialize on an internal lock
     and bump ``change_counter``; readers should work from ``snapshot()`` so
     they always see one consistent version.
+
+    Beside the raw embeddings (which ``save`` and ``snapshot`` hand out) the
+    gallery keeps one contiguous matrix of their unit rows in registration
+    order, grown by doubling: row ``k`` is ``unit_vector`` of
+    ``_rows[k].vector``. Writers never touch what a reader took under the
+    lock: a registration writes past the ``len(_rows)`` rows it saw, and
+    growth and removal build a new matrix and a new list. So a reader that
+    took ``_unit``, ``_rows`` and their length under the lock uses them
+    unlocked and copies nothing.
     """
 
     def __init__(self, dimension: int):
@@ -56,6 +66,8 @@ class Gallery:
         self._ids: set[str] = set()
         self._id_counter = 0
         self._lock = threading.Lock()
+        self._unit = np.empty((0, self.dimension))
+        self._rows: list[Embedding] = []
 
     def __len__(self) -> int:
         return len(self._ids)
@@ -73,6 +85,16 @@ class Gallery:
         with self._lock:
             return self.change_counter, {k: tuple(v) for k, v in self._identities.items()}
 
+    def unit_rows(self) -> tuple[int, np.ndarray, list[str]]:
+        """Consistent view: (change_counter, read-only unit rows in
+        registration order, the label of each row)."""
+        with self._lock:
+            version, unit, rows = self.change_counter, self._unit, self._rows
+            n = len(rows)
+        view = unit[:n]
+        view.flags.writeable = False
+        return version, view, [e.identity for e in rows[:n]]
+
     def _validate_vector(self, vector) -> np.ndarray:
         v = np.asarray(vector, dtype=np.float64)
         if v.ndim != 1 or v.shape[0] != self.dimension:
@@ -81,8 +103,8 @@ class Gallery:
             )
         if not np.isfinite(v).all():
             raise InputContractError("vector contains non-finite values")
-        if float(np.linalg.norm(v)) == 0.0:
-            raise ZeroVectorError("zero-norm vectors cannot be stored")
+        if not v.any():
+            raise ZeroVectorError("zero vectors cannot be stored")
         return v.copy()
 
     def _fresh_id(self) -> str:
@@ -101,12 +123,20 @@ class Gallery:
         if not isinstance(identity, str) or not identity:
             raise InputContractError("identity label must be a non-empty string")
         v = self._validate_vector(vector)
+        row = unit_vector(v)
         with self._lock:
             if instance_id is None:
                 instance_id = self._fresh_id()
             elif instance_id in self._ids:
                 raise InputContractError(f"instance id {instance_id!r} already present")
             emb = Embedding(instance_id=instance_id, identity=identity, vector=v)
+            n = len(self._rows)
+            if n == self._unit.shape[0]:
+                grown = np.empty((max(16, 2 * n), self.dimension))
+                grown[:n] = self._unit[:n]
+                self._unit = grown
+            self._unit[n] = row
+            self._rows.append(emb)
             self._identities.setdefault(identity, []).append(emb)
             self._ids.add(instance_id)
             self.change_counter += 1
@@ -121,12 +151,15 @@ class Gallery:
         with self._lock:
             if instance_id not in self._ids:
                 return False
-            owner = None
-            for label, embs in self._identities.items():
-                if any(e.instance_id == instance_id for e in embs):
-                    owner = label
-                    break
-            assert owner is not None, "id index out of sync with storage"
+            rows = self._rows
+            k = next(k for k, e in enumerate(rows) if e.instance_id == instance_id)
+            owner = rows[k].identity
+            # a new matrix and a new list, in registration order: readers may
+            # hold the old ones
+            unit = np.empty_like(self._unit)
+            unit[:k] = self._unit[:k]
+            unit[k : len(rows) - 1] = self._unit[k + 1 : len(rows)]
+            self._unit, self._rows = unit, rows[:k] + rows[k + 1 :]
             remaining = [e for e in self._identities[owner] if e.instance_id != instance_id]
             if remaining:
                 self._identities[owner] = remaining
@@ -145,21 +178,20 @@ class Gallery:
         """Best cosine match across the whole gallery.
 
         Matches when the best similarity reaches ``threshold``; ties between
-        identities go to the lexicographically smallest label.
+        identities go to the lexicographically smallest label. ``einsum``
+        rather than BLAS gemv computes the similarities: it gives a row the
+        same bits wherever the row sits, so a vector stored under two labels
+        ties exactly.
         """
-        _, identities = self.snapshot()
-        if not identities:
+        with self._lock:
+            unit, rows = self._unit, self._rows
+            n = len(rows)
+        if n == 0:
             raise EmptyGalleryError("cannot match against an empty gallery")
-        q = self._validate_vector(query_vector)
-        qn = q / np.linalg.norm(q)
-        best_label: str | None = None
-        best_sim = -np.inf
-        for label in sorted(identities):
-            mat = np.stack([e.vector for e in identities[label]])
-            mat = mat / np.linalg.norm(mat, axis=1, keepdims=True)
-            sim = float(np.clip(mat @ qn, -1.0, 1.0).max())
-            if sim > best_sim:
-                best_label, best_sim = label, sim
+        qn = unit_vector(self._validate_vector(query_vector))
+        sims = np.clip(np.einsum("ij,j->i", unit[:n], qn), -1.0, 1.0)
+        best_sim = float(sims.max())
+        best_label = min(rows[k].identity for k in np.flatnonzero(sims == best_sim))
         matched = best_sim >= threshold
         return MatchResult(
             matched=matched,
@@ -226,50 +258,52 @@ class Gallery:
     @classmethod
     def _load_csv(cls, path: Path) -> "Gallery":
         meta: dict[str, int] = {}
-        rows = []  # (file line the row ends on, its fields)
+        gallery = None
         with open(path, newline="", encoding="utf-8") as fh:
             reader = csv.reader(fh)
+            # rows are registered as they are read, so the parsed text of the
+            # whole file is never held at once
             for row in reader:
-                if len(row) > 1:
-                    rows.append((reader.line_num, row))
+                if len(row) <= 1:
+                    # one field: a blank line, a comment (the saved counters
+                    # are "# key=value" comments) or a malformed data row
+                    body = "".join(row).strip()
+                    if body.startswith("#"):
+                        key, eq, value = body.lstrip("#").partition("=")
+                        if eq:
+                            try:
+                                meta[key.strip()] = int(value)
+                            except ValueError:
+                                pass
+                        continue
+                    if not body:
+                        continue
+                if gallery is None:
+                    if (
+                        len(row) < 4
+                        or row[0] != "identity"
+                        or row[1] != "instance_id"
+                        or row[2:] != [f"v{i}" for i in range(len(row) - 2)]
+                    ):
+                        raise GalleryFormatError(f"{path}: unrecognized header {row!r}")
+                    gallery = cls(len(row) - 2)
                     continue
-                # one field: a blank line, a comment (the saved counters are
-                # "# key=value" comments) or a malformed data row
-                body = "".join(row).strip()
-                if body.startswith("#"):
-                    key, eq, value = body.lstrip("#").partition("=")
-                    if eq:
-                        try:
-                            meta[key.strip()] = int(value)
-                        except ValueError:
-                            pass
-                elif body:
-                    rows.append((reader.line_num, row))
-        if not rows:
+                lineno = reader.line_num
+                if len(row) != gallery.dimension + 2:
+                    raise GalleryFormatError(
+                        f"{path}:{lineno}: row has {len(row) - 2} values, "
+                        f"expected {gallery.dimension}"
+                    )
+                try:
+                    vector = [float(x) for x in row[2:]]
+                except ValueError as exc:
+                    raise GalleryFormatError(f"{path}:{lineno}: {exc}") from exc
+                try:
+                    gallery.register(row[0], vector, instance_id=row[1])
+                except InputContractError as exc:
+                    raise GalleryFormatError(f"{path}:{lineno}: {exc}") from exc
+        if gallery is None:
             raise GalleryFormatError(f"{path}: empty file, no header row")
-        _, header = rows[0]
-        if (
-            len(header) < 4
-            or header[0] != "identity"
-            or header[1] != "instance_id"
-            or header[2:] != [f"v{i}" for i in range(len(header) - 2)]
-        ):
-            raise GalleryFormatError(f"{path}: unrecognized header {header!r}")
-        dimension = len(header) - 2
-        gallery = cls(dimension)
-        for lineno, row in rows[1:]:
-            if len(row) != dimension + 2:
-                raise GalleryFormatError(
-                    f"{path}:{lineno}: row has {len(row) - 2} values, expected {dimension}"
-                )
-            try:
-                vector = [float(x) for x in row[2:]]
-            except ValueError as exc:
-                raise GalleryFormatError(f"{path}:{lineno}: {exc}") from exc
-            try:
-                gallery.register(row[0], vector, instance_id=row[1])
-            except InputContractError as exc:
-                raise GalleryFormatError(f"{path}:{lineno}: {exc}") from exc
         gallery._apply_meta(meta)
         return gallery
 

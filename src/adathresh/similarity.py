@@ -5,7 +5,8 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass
 from functools import cached_property
-from typing import TYPE_CHECKING, Literal
+from itertools import groupby
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -16,7 +17,7 @@ if TYPE_CHECKING:
 
 logger = logging.getLogger(__name__)
 
-_REDUCERS = {"max": np.max, "mean": np.mean}
+_TINY = np.finfo(np.float64).tiny
 
 
 def _as_vector(x) -> np.ndarray:
@@ -33,18 +34,31 @@ def _check_dims(x: np.ndarray, y: np.ndarray) -> None:
         )
 
 
-def _unit(v: np.ndarray) -> np.ndarray:
-    norm = float(np.linalg.norm(v))
-    if norm == 0.0:
+def unit_vector(v: np.ndarray) -> np.ndarray:
+    """``v`` scaled to norm 1, for any finite non-zero 1-D float64 vector.
+
+    When the squared norm is a normal float this is ``v / sqrt(sum(v * v))``,
+    which gives each row the bits that ``v / np.linalg.norm(v, axis=1)`` gives
+    it in a batch (``np.linalg.norm`` of a 1-D vector sums through ``dot`` and
+    can differ). When the square underflows or overflows, ``v`` is first
+    divided by its largest magnitude.
+    """
+    with np.errstate(over="ignore"):
+        sq = np.add.reduce(v * v)
+    if _TINY <= sq < np.inf:
+        return v / np.sqrt(sq)
+    scale = np.abs(v).max()
+    if scale == 0.0:
         raise ZeroVectorError("zero-norm vector has no direction")
-    return v / norm
+    w = v / scale
+    return w / np.sqrt(np.add.reduce(w * w))
 
 
 def cosine_similarity(x, y) -> float:
     """Cosine of the angle between two vectors, clamped to [-1, 1]."""
     xv, yv = _as_vector(x), _as_vector(y)
     _check_dims(xv, yv)
-    value = float(np.dot(_unit(xv), _unit(yv)))
+    value = float(np.dot(unit_vector(xv), unit_vector(yv)))
     return min(1.0, max(-1.0, value))
 
 
@@ -60,19 +74,13 @@ def euclidean_distance(x, y) -> float:
     return float(np.linalg.norm(xv - yv))
 
 
-@dataclass(frozen=True)
-class IdentityPair:
-    """Best similarity achieved within one identity or between two."""
-
-    kind: Literal["auto", "cross"]
-    first: str
-    second: str
-    s_max: float
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SimilarityDistributions:
-    """Auto (same-identity) and cross (different-identity) best-similarity samples."""
+    """Auto (same-identity) and cross (different-identity) best-similarity samples.
+
+    Two distributions are equal when their gallery versions are equal and
+    both sample arrays hold the same values in the same order.
+    """
 
     auto_samples: np.ndarray
     cross_samples: np.ndarray
@@ -97,67 +105,62 @@ class SimilarityDistributions:
         threshold count; the public sample arrays keep their order."""
         return np.sort(self.auto_samples), np.sort(self.cross_samples)
 
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, SimilarityDistributions):
+            return NotImplemented
+        return (
+            self.gallery_version == other.gallery_version
+            and np.array_equal(self.auto_samples, other.auto_samples)
+            and np.array_equal(self.cross_samples, other.cross_samples)
+        )
 
-def _pairs_from_identities(identities, reducer: str) -> list[IdentityPair]:
-    if reducer not in _REDUCERS:
-        raise InputContractError(f"unknown reducer {reducer!r}")
-    reduce_fn = _REDUCERS[reducer]
-    labels = sorted(identities)
 
-    spans = []
-    blocks = []
-    pos = 0
-    for label in labels:
-        vecs = np.stack([e.vector for e in identities[label]])
-        blocks.append(vecs)
-        spans.append((label, pos, pos + vecs.shape[0]))
-        pos += vecs.shape[0]
-    allv = np.vstack(blocks)
-    unit = allv / np.linalg.norm(allv, axis=1, keepdims=True)
-    gram = np.clip(unit @ unit.T, -1.0, 1.0)
+def _pairs_from_identities(
+    unit: np.ndarray, spans: list[tuple[int, int]]
+) -> tuple[list[float], list[float]]:
+    """Best similarity within each identity holding two or more rows (auto)
+    and between each unordered pair of identities (cross), in span order.
 
-    pairs = []
-    for label, lo, hi in spans:
+    ``unit`` holds unit rows grouped by identity; ``spans`` gives each
+    identity's ``(lo, hi)`` row range.
+    """
+    gram = unit @ unit.T
+    np.clip(gram, -1.0, 1.0, out=gram)
+    auto: list[float] = []
+    cross: list[float] = []
+    for lo, hi in spans:
         k = hi - lo
         if k >= 2:
-            block = gram[lo:hi, lo:hi]
             # pairing an instance with itself always scores 1.0; only
             # distinct-instance pairs carry information
-            off_diag = block[~np.eye(k, dtype=bool)]
-            pairs.append(IdentityPair("auto", label, label, float(reduce_fn(off_diag))))
-    for i, (li, lo_i, hi_i) in enumerate(spans):
-        for lj, lo_j, hi_j in spans[i + 1 :]:
-            s = float(reduce_fn(gram[lo_i:hi_i, lo_j:hi_j]))
-            pairs.append(IdentityPair("cross", li, lj, s))
-    return pairs
+            auto.append(float(gram[lo:hi, lo:hi][~np.eye(k, dtype=bool)].max()))
+    for i, (lo_i, hi_i) in enumerate(spans):
+        for lo_j, hi_j in spans[i + 1 :]:
+            cross.append(float(gram[lo_i:hi_i, lo_j:hi_j].max()))
+    return auto, cross
 
 
-def build_identity_pairs(gallery: "Gallery", reducer: str = "max") -> list[IdentityPair]:
-    """Enumerate every auto pair (identities holding >= 2 embeddings) and every
-    unordered cross pair, each carrying its reduced similarity.
-
-    Pairs come out in sorted-label order, so repeated calls on the same
-    gallery version are element-wise identical.
-    """
-    _, identities = gallery.snapshot()
-    if len(identities) < 2:
-        raise InputContractError("need at least 2 identities to form cross pairs")
-    return _pairs_from_identities(identities, reducer)
-
-
-def build_distributions(gallery: "Gallery", reducer: str = "max") -> SimilarityDistributions:
+def build_distributions(gallery: "Gallery") -> SimilarityDistributions:
     """Collect the per-pair best similarities into auto and cross sample sets.
 
-    Identities with a single embedding contribute no auto sample. An empty
-    auto side is returned as-is (and logged); callers that need Gaussian
-    estimates should check ``estimable`` first.
+    Pairs come in sorted-label order, so repeated calls on the same gallery
+    version give element-wise identical samples. Identities with a single
+    embedding contribute no auto sample. An empty auto side is returned
+    as-is (and logged); callers that need Gaussian estimates should check
+    ``estimable`` first.
     """
-    version, identities = gallery.snapshot()
-    if len(identities) < 2:
+    version, rows, labels = gallery.unit_rows()
+    # a stable sort keeps each identity's rows in registration order
+    order = sorted(range(len(labels)), key=labels.__getitem__)
+    spans = []
+    lo = 0
+    for _, group in groupby(order, key=labels.__getitem__):
+        hi = lo + sum(1 for _ in group)
+        spans.append((lo, hi))
+        lo = hi
+    if len(spans) < 2:
         raise InputContractError("need at least 2 identities to form cross pairs")
-    pairs = _pairs_from_identities(identities, reducer)
-    auto = [p.s_max for p in pairs if p.kind == "auto"]
-    cross = [p.s_max for p in pairs if p.kind == "cross"]
+    auto, cross = _pairs_from_identities(rows[order], spans)
     if not auto:
         logger.warning(
             "no identity has two or more embeddings: auto distribution is empty"

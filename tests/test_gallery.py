@@ -1,5 +1,8 @@
 import json
+import sys
 import tempfile
+import threading
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -15,6 +18,7 @@ from adathresh import (
     InputContractError,
     ZeroVectorError,
 )
+from conftest import naive_cosine
 
 
 def two_identity_gallery() -> Gallery:
@@ -79,6 +83,50 @@ class TestRegister:
             Gallery(1)
 
 
+# finite floats whose exponents span the whole range, subnormals included
+wide_floats = st.builds(
+    lambda m, e: m * 2.0**e, st.floats(-1.0, 1.0), st.integers(-1074, 1023)
+) | st.just(0.0)
+
+
+class TestVectorNumerics:
+    def test_tiny_vector_matches_itself(self):
+        g = Gallery(2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            g.register("a", [1e-300, 0.0])
+            r = g.match_query([1e-300, 0.0], 0.5)
+        assert r.matched and r.identity == "a" and r.best_similarity == 1.0
+
+    def test_huge_vector_matches_its_direction(self):
+        g = Gallery(2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            g.register("a", [1e308, 1e308])
+            r = g.match_query([1.0, 1.0], 0.5)
+        assert r.matched and r.identity == "a"
+        assert r.best_similarity == pytest.approx(1.0, abs=1e-12)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(
+            st.lists(wide_floats, min_size=3, max_size=3).filter(any),
+            min_size=1,
+            max_size=5,
+        )
+    )
+    def test_every_stored_row_has_unit_norm(self, vectors):
+        g = Gallery(3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for v in vectors:
+                g.register("a", v)
+            _, rows, labels = g.unit_rows()
+        assert labels == ["a"] * len(vectors)
+        norms = np.sqrt((rows * rows).sum(axis=1))
+        assert np.all(np.abs(norms - 1.0) <= 1e-12)
+
+
 class TestRemove:
     def test_last_embedding_drops_identity(self):
         g = Gallery(3)
@@ -141,6 +189,20 @@ class TestMatchQuery:
         r = g.match_query([1, 0, 0], 0.5)
         assert r.identity == "ann"
 
+    def test_tie_inside_a_block_breaks_to_lowest_label(self):
+        # the same vector stored inside b's block and alone under a must score
+        # the same bits in both places, so the tie goes to a
+        for seed in range(60):
+            rng = np.random.default_rng(seed)
+            block = rng.standard_normal((int(rng.integers(2, 9)), 16))
+            shared = block[int(rng.integers(block.shape[0]))]
+            g = Gallery(16)
+            for v in block:
+                g.register("b", v)
+            g.register("a", shared)
+            r = g.match_query(shared + 0.01 * rng.standard_normal(16), -1.0)
+            assert r.identity == "a", f"seed {seed}"
+
     def test_threshold_minus_one_always_matches(self):
         rng = np.random.default_rng(60)
         g = Gallery(4)
@@ -168,6 +230,56 @@ class TestMatchQuery:
         g = two_identity_gallery()
         with pytest.raises(DimensionMismatchError):
             g.match_query([1, 0], 0.5)
+
+
+small_vectors = st.lists(st.integers(-3, 3), min_size=3, max_size=3).filter(any)
+matcher_ops = st.lists(
+    st.one_of(
+        st.tuples(st.just("register"), st.sampled_from("abcd"), small_vectors),
+        st.tuples(st.just("reuse"), st.sampled_from("abcd"), st.integers(0, 50)),
+        st.tuples(st.just("remove"), st.integers(0, 50)),
+        st.tuples(st.just("query"), small_vectors),
+    ),
+    max_size=40,
+)
+
+
+class TestMatcherProperty:
+    @settings(max_examples=150, deadline=None)
+    @given(matcher_ops)
+    def test_match_agrees_with_brute_force(self, ops):
+        g = Gallery(3)
+        stored: dict[str, tuple[str, list[float]]] = {}  # instance id -> (label, vector)
+        history: list[list[float]] = []
+        for op in ops:
+            if op[0] in ("register", "reuse"):
+                if op[0] == "reuse" and not history:
+                    continue
+                v = [float(x) for x in op[2]] if op[0] == "register" else history[op[2] % len(history)]
+                stored[g.register(op[1], v)] = (op[1], v)
+                history.append(v)
+            elif op[0] == "remove":
+                if stored:
+                    iid = sorted(stored)[op[1] % len(stored)]
+                    assert g.remove(iid)
+                    del stored[iid]
+            elif not stored:
+                with pytest.raises(EmptyGalleryError):
+                    g.match_query(op[1], -1.0)
+            else:
+                r = g.match_query(op[1], -1.0)
+                scored = [
+                    (min(1.0, max(-1.0, naive_cosine(v, op[1]))), label, tuple(v))
+                    for label, v in stored.values()
+                ]
+                best = max(s for s, _, _ in scored)
+                near = [(label, v) for s, label, v in scored if s >= best - 1e-12]
+                assert r.matched
+                assert r.best_similarity == pytest.approx(best, abs=1e-12)
+                assert r.identity in {label for label, _ in near}
+                if len({v for _, v in near}) == 1:
+                    # one vector, maybe under several labels: an exact tie
+                    assert r.identity == min(label for label, _ in near)
 
 
 class TestPersistence:
@@ -312,37 +424,53 @@ class TestPersistence:
 
 class TestConcurrency:
     def test_readers_survive_a_writer(self):
-        # single-writer, multiple-reader: queries against snapshots must not
-        # trip over concurrent registrations
-        import threading
-
+        # single-writer, multiple-reader: queries must not trip over
+        # concurrent registrations, growth of the row matrix or removals
         rng = np.random.default_rng(64)
         g = Gallery(8)
         for i in range(4):
             g.register(f"id{i}", rng.standard_normal(8))
+        registered = {f"id{i}" for i in range(4)} | {f"new{i}" for i in range(200)}
         errors = []
+        seen = set()
+        done = threading.Event()
 
         def writer():
             try:
+                previous = None
                 for i in range(200):
-                    g.register(f"new{i}", np.arange(1.0, 9.0) + i)
+                    iid = g.register(f"new{i}", np.arange(1.0, 9.0) + i)
+                    if previous is not None and i % 2:
+                        g.remove(previous)
+                    previous = iid
             except Exception as exc:  # pragma: no cover - failure path
                 errors.append(exc)
+            finally:
+                done.set()
 
-        def reader():
+        def reader(seed):
             try:
-                q = rng.standard_normal(8)
-                for _ in range(200):
-                    g.match_query(q, 0.5)
+                q_rng = np.random.default_rng(seed)
+                while not done.is_set():
+                    r = g.match_query(q_rng.standard_normal(8), -1.0)
+                    seen.add(r.identity)
             except Exception as exc:  # pragma: no cover - failure path
                 errors.append(exc)
 
         threads = [threading.Thread(target=writer)] + [
-            threading.Thread(target=reader) for _ in range(3)
+            threading.Thread(target=reader, args=(k,)) for k in range(3)
         ]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
         assert errors == []
-        assert g.change_counter == 4 + 200
+        assert seen and seen <= registered
+        assert g.change_counter == 4 + 200 + 100
+        assert len(g) == 4 + 100

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -7,9 +8,9 @@ from adathresh import (
     DimensionMismatchError,
     Gallery,
     InputContractError,
+    SimilarityDistributions,
     ZeroVectorError,
     build_distributions,
-    build_identity_pairs,
     cosine_distance,
     cosine_similarity,
     euclidean_distance,
@@ -182,20 +183,30 @@ class TestBuildDistributions:
         assert dist.auto_samples.size == 0
         assert any("auto" in r.message for r in caplog.records)
 
-    def test_mean_reducer_hook(self):
+    def test_extreme_magnitudes(self):
+        # squared norms that underflow or overflow still give unit rows
         g = Gallery(2)
-        g.register("a", [1, 0])
-        g.register("a", [0, 1])
-        g.register("b", [1, 0.2])
-        d_max = build_distributions(g, reducer="max")
-        d_mean = build_distributions(g, reducer="mean")
-        assert d_mean.cross_samples[0] < d_max.cross_samples[0]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            g.register("a", [1e-300, 0.0])
+            g.register("a", [1e-300, 1e-300])
+            g.register("b", [1e308, 1e308])
+            dist = build_distributions(g)
+        assert dist.auto_samples == pytest.approx([math.sqrt(0.5)], abs=1e-12)
+        assert dist.cross_samples == pytest.approx([1.0], abs=1e-12)
 
-    def test_identity_pairs_structure(self, make_gallery):
-        g = make_gallery(num_identities=3, per_identity=2, seed=4)
-        pairs = build_identity_pairs(g)
-        autos = [p for p in pairs if p.kind == "auto"]
-        crosses = [p for p in pairs if p.kind == "cross"]
-        assert all(p.first == p.second for p in autos)
-        assert all(p.first < p.second for p in crosses)
-        assert len(crosses) == 3
+
+class TestSimilarityDistributionsEquality:
+    def test_compares_by_value(self):
+        d = SimilarityDistributions([0.3, 0.1], [0.5, 0.2], 4)
+        same = SimilarityDistributions(np.array([0.3, 0.1]), [0.5, 0.2], 4)
+        assert (d == same) is True
+        assert (d != same) is False
+        assert d != SimilarityDistributions([0.1, 0.3], [0.5, 0.2], 4)  # order counts
+        assert d != SimilarityDistributions([0.3, 0.1], [0.5, 0.2, 0.0], 4)
+        assert d != SimilarityDistributions([0.3, 0.1], [0.5, 0.2], 5)
+        assert d != (d.auto_samples, d.cross_samples, 4)
+
+    def test_rebuild_equals(self, make_gallery):
+        g = make_gallery(seed=6)
+        assert build_distributions(g) == build_distributions(g)
