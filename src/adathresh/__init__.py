@@ -38,6 +38,7 @@ from .metrics import (
     RocCurve,
     confusion_at,
     metrics_at,
+    roc_auc,
     roc_sweep,
 )
 from .optimizer import (
@@ -50,20 +51,12 @@ from .optimizer import (
     select_threshold,
     tpr_fpr_objective,
 )
-from .similarity import (
-    SimilarityDistributions,
-    build_distributions,
-    cosine_distance,
-    cosine_similarity,
-    euclidean_distance,
-)
+from .similarity import SimilarityDistributions, build_distributions
 from .stats import (
     GaussianEstimate,
-    HistogramSummary,
     IntersectionResult,
     estimate_gaussian,
     gaussian_pdf,
-    histogram,
     initialize_threshold,
     intersect_gaussians,
 )
@@ -82,7 +75,6 @@ __all__ = [
     "Gallery",
     "GalleryFormatError",
     "GaussianEstimate",
-    "HistogramSummary",
     "InputContractError",
     "IntersectionResult",
     "KindSummary",
@@ -98,15 +90,11 @@ __all__ = [
     "adapt",
     "build_distributions",
     "confusion_at",
-    "cosine_distance",
-    "cosine_similarity",
     "estimate_gaussian",
-    "euclidean_distance",
     "export",
     "export_stream_events",
     "gaussian_pdf",
     "generate_synthetic",
-    "histogram",
     "initialize_threshold",
     "intersect_gaussians",
     "maybe_adapt",
@@ -114,6 +102,7 @@ __all__ = [
     "optimize_f1",
     "optimize_tpr_fpr_gap",
     "read_rows",
+    "roc_auc",
     "roc_export",
     "roc_sweep",
     "run_incremental",

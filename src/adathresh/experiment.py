@@ -12,7 +12,7 @@ import numpy as np
 
 from .errors import InputContractError
 from .gallery import FLOAT_FORMAT, Embedding, Gallery
-from .metrics import metrics_at, roc_sweep
+from .metrics import metrics_at, roc_auc, roc_sweep
 from .optimizer import AdaptConfig, _adapt_built, optimize_f1
 from .similarity import build_distributions
 
@@ -114,7 +114,6 @@ def run_incremental(
     identity_order: str = "input",
     seed: int = 0,
     per_step_roc: bool = False,
-    roc_points: int = 1001,
 ) -> list[ExperimentRow]:
     """Grow the gallery one identity at a time, adapting and scoring each step.
 
@@ -127,14 +126,14 @@ def run_incremental(
     samples.
 
     Emits one row per (step, threshold kind); the final step always carries
-    the ROC AUC, every step does with ``per_step_roc``.
+    the exact ROC AUC, every step does with ``per_step_roc``.
     """
     config = config or AdaptConfig()
     source = _as_gallery(embeddings_source)
     labels = source.identities
     if len(labels) < 2:
         raise InputContractError("need at least 2 identities for an incremental run")
-    if identity_order in ("seeded-shuffle", "shuffle"):
+    if identity_order == "shuffle":
         random.Random(seed).shuffle(labels)
     elif identity_order != "input":
         raise InputContractError(f"unknown identity order {identity_order!r}")
@@ -185,7 +184,7 @@ def run_incremental(
                 )
             )
         if per_step_roc or step == len(labels):
-            auc = roc_sweep(dist, roc_points, config.epsilon).auc
+            auc = roc_auc(dist)
             step_rows = [replace(r, auc=auc) for r in step_rows]
         rows.extend(step_rows)
     return rows
@@ -275,17 +274,15 @@ def _row_values(row: ExperimentRow) -> list:
     ]
 
 
-def export(data, path, format: str | None = None) -> None:
+def export(data, path) -> None:
     """Write experiment rows or a summary report to CSV or JSON.
 
-    The format defaults to the path extension (.json means JSON). Row CSVs use
-    the canonical column order; floats carry 17 significant digits so parsing
-    them back is lossless.
+    The path extension picks the format: .json means JSON, anything else CSV.
+    Row CSVs use the canonical column order; floats carry 17 significant
+    digits so parsing them back is lossless.
     """
     path = Path(path)
-    fmt = format or ("json" if path.suffix.lower() == ".json" else "csv")
-    if fmt not in ("csv", "json"):
-        raise InputContractError(f"unknown export format {fmt!r}")
+    fmt = "json" if path.suffix.lower() == ".json" else "csv"
 
     if isinstance(data, SummaryReport):
         _export_report(data, path, fmt)
@@ -376,11 +373,11 @@ def simulate_stream(
     threshold: float,
     auto_register: bool = False,
     append_matched: bool = False,
-    novel_prefix: str = "novel",
 ) -> list[StreamEvent]:
     """Replay queries against the gallery under the chosen registration policy.
 
-    Unmatched queries are rejected, or stored as brand-new identities with
+    Unmatched queries are rejected, or stored as brand-new identities
+    (``novel-0001``, ``novel-0002``, ... skipping labels already taken) with
     ``auto_register``. Matched queries can additionally be appended to the
     identity they hit with ``append_matched``; by default matching leaves the
     gallery untouched so evaluation ground truth stays fixed.
@@ -401,10 +398,10 @@ def simulate_stream(
             if taken is None:
                 taken = set(gallery.identities)
             novel_count += 1
-            label = f"{novel_prefix}-{novel_count:04d}"
+            label = f"novel-{novel_count:04d}"
             while label in taken:
                 novel_count += 1
-                label = f"{novel_prefix}-{novel_count:04d}"
+                label = f"novel-{novel_count:04d}"
             gallery.register(label, q.vector)
             action = "registered"
         else:

@@ -316,21 +316,31 @@ class Gallery:
             raise GalleryFormatError(f"{path}: invalid JSON: {exc}") from exc
         if not isinstance(payload, dict) or "dimension" not in payload:
             raise GalleryFormatError(f"{path}: missing 'dimension' key")
-        gallery = cls(int(payload["dimension"]))
-        for i, entry in enumerate(payload.get("embeddings", [])):
+        # InputContractError is a ValueError, so each clause also turns the
+        # gallery's own validation failures into a format error
+        try:
+            gallery = cls(int(payload["dimension"]))
+        except (TypeError, ValueError) as exc:
+            raise GalleryFormatError(f"{path}: 'dimension': {exc}") from exc
+        entries = payload.get("embeddings", [])
+        if not isinstance(entries, list):
+            raise GalleryFormatError(
+                f"{path}: 'embeddings': expected a list, got {type(entries).__name__}"
+            )
+        for i, entry in enumerate(entries):
             try:
                 gallery.register(
                     entry["identity"], entry["vector"], instance_id=entry["instance_id"]
                 )
-            except (KeyError, TypeError) as exc:
+            except (KeyError, TypeError, ValueError) as exc:
                 raise GalleryFormatError(f"{path}: embedding #{i}: {exc}") from exc
-            except InputContractError as exc:
-                raise GalleryFormatError(f"{path}: embedding #{i}: {exc}") from exc
-        meta = {
-            key: int(payload[key])
-            for key in ("change_counter", "registrations_since_adapt")
-            if key in payload
-        }
+        meta = {}
+        for key in ("change_counter", "registrations_since_adapt"):
+            if key in payload:
+                try:
+                    meta[key] = int(payload[key])
+                except (TypeError, ValueError) as exc:
+                    raise GalleryFormatError(f"{path}: {key!r}: {exc}") from exc
         gallery._apply_meta(meta)
         return gallery
 

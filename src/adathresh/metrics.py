@@ -1,5 +1,6 @@
 """Confusion counts, threshold metrics, and ROC/AUC over similarity samples."""
 
+import math
 from dataclasses import dataclass
 from typing import Literal
 
@@ -54,7 +55,8 @@ class Rates:
 
 @dataclass(frozen=True)
 class RocCurve:
-    """(fpr, tpr, threshold) points in descending-threshold order, plus AUC."""
+    """(fpr, tpr, threshold) points in descending-threshold order, plus the
+    exact AUC."""
 
     points: list[tuple[float, float, float]]
     auc: float
@@ -99,8 +101,8 @@ def rates_at(
     reading of the source formula; the standard tp/(tp+fn+eps) is the default
     because the paper form degenerates the ROC into precision-vs-fallout.
     """
-    if epsilon < 0.0:
-        raise InputContractError("epsilon must be >= 0")
+    if not 0.0 <= epsilon < math.inf:
+        raise InputContractError("epsilon must be finite and >= 0")
     if tpr_denominator not in ("standard", "paper"):
         raise InputContractError(f"unknown tpr_denominator {tpr_denominator!r}")
     tp, fp = (c.astype(np.float64) for c in count_at_least(dist, thresholds))
@@ -157,13 +159,21 @@ def confusion_at(dist: SimilarityDistributions, threshold: float) -> ConfusionCo
     return metrics_at(dist, threshold).counts
 
 
-def _trapezoid_auc(points) -> float:
-    # stable sort keeps the along-curve order at equal fpr; zero-width
-    # duplicates then contribute nothing, so the staircase integrates exactly
-    ordered = sorted(points, key=lambda p: p[0])
-    xs = [p[0] for p in ordered]
-    ys = [p[1] for p in ordered]
-    return float(min(1.0, max(0.0, np.trapezoid(ys, xs))))
+def roc_auc(dist: SimilarityDistributions) -> float:
+    """Exact area under the ROC curve: the Mann-Whitney statistic
+    P(auto > cross) + P(auto == cross) / 2 over every auto/cross pair.
+
+    For each cross sample, two binary searches over the sorted auto samples
+    count the auto samples at least as high and those strictly higher; their
+    mean is that cross sample's share of the area, ties counted as one half.
+    """
+    _require_samples(dist)
+    auto_sorted = dist.sorted_samples[0]
+    n_auto = auto_sorted.size
+    cross = dist.cross_samples
+    at_least = n_auto - np.searchsorted(auto_sorted, cross, side="left")
+    above = n_auto - np.searchsorted(auto_sorted, cross, side="right")
+    return float((at_least.sum() + above.sum()) / (2 * n_auto * cross.size))
 
 
 def roc_sweep(
@@ -175,8 +185,8 @@ def roc_sweep(
 
     The sweep interval runs a hair beyond the extreme samples; its endpoints
     are the exact (0,0) and (1,1) anchors and ``num_points`` evenly spaced
-    interior thresholds fill it. AUC is the trapezoidal area over the points
-    sorted by FPR.
+    interior thresholds fill it. The points are for plotting; the AUC is the
+    exact :func:`roc_auc`, not an area under the grid.
     """
     _require_samples(dist)
     if num_points < 2:
@@ -191,4 +201,4 @@ def roc_sweep(
     points: list[tuple[float, float, float]] = [(0.0, 0.0, float(full[0]))]
     points.extend(zip(r.fpr.tolist(), r.tpr.tolist(), grid.tolist()))
     points.append((1.0, 1.0, float(full[-1])))
-    return RocCurve(points=points, auc=_trapezoid_auc(points))
+    return RocCurve(points=points, auc=roc_auc(dist))

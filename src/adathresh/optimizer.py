@@ -45,8 +45,8 @@ class AdaptConfig:
     def __post_init__(self):
         if not 0.0 < self.tau <= 1.0:
             raise InputContractError("tau must be in (0, 1]")
-        if self.epsilon <= 0.0:
-            raise InputContractError("epsilon must be > 0")
+        if not 0.0 < self.epsilon < math.inf:
+            raise InputContractError("epsilon must be finite and > 0")
         if self.recompute_every_n < 1:
             raise InputContractError("recompute_every_n must be >= 1")
         if self.objective not in ("f1", "tpr_fpr_gap"):

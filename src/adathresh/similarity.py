@@ -1,4 +1,4 @@
-"""Vector metrics and the auto/cross similarity distributions of a gallery."""
+"""Unit vectors and the auto/cross similarity distributions of a gallery."""
 
 from __future__ import annotations
 
@@ -10,7 +10,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import DimensionMismatchError, InputContractError, ZeroVectorError
+from .errors import InputContractError, ZeroVectorError
 
 if TYPE_CHECKING:
     from .gallery import Gallery
@@ -18,20 +18,6 @@ if TYPE_CHECKING:
 logger = logging.getLogger(__name__)
 
 _TINY = np.finfo(np.float64).tiny
-
-
-def _as_vector(x) -> np.ndarray:
-    v = np.asarray(x, dtype=np.float64)
-    if v.ndim != 1:
-        raise InputContractError(f"expected a 1-D vector, got shape {v.shape}")
-    return v
-
-
-def _check_dims(x: np.ndarray, y: np.ndarray) -> None:
-    if x.shape[0] != y.shape[0]:
-        raise DimensionMismatchError(
-            f"dimension mismatch: {x.shape[0]} vs {y.shape[0]}"
-        )
 
 
 def unit_vector(v: np.ndarray) -> np.ndarray:
@@ -52,26 +38,6 @@ def unit_vector(v: np.ndarray) -> np.ndarray:
         raise ZeroVectorError("zero-norm vector has no direction")
     w = v / scale
     return w / np.sqrt(np.add.reduce(w * w))
-
-
-def cosine_similarity(x, y) -> float:
-    """Cosine of the angle between two vectors, clamped to [-1, 1]."""
-    xv, yv = _as_vector(x), _as_vector(y)
-    _check_dims(xv, yv)
-    value = float(np.dot(unit_vector(xv), unit_vector(yv)))
-    return min(1.0, max(-1.0, value))
-
-
-def cosine_distance(x, y) -> float:
-    """1 - cosine_similarity(x, y); ranges over [0, 2]."""
-    return 1.0 - cosine_similarity(x, y)
-
-
-def euclidean_distance(x, y) -> float:
-    """Straight-line distance between two points."""
-    xv, yv = _as_vector(x), _as_vector(y)
-    _check_dims(xv, yv)
-    return float(np.linalg.norm(xv - yv))
 
 
 @dataclass(frozen=True, eq=False)

@@ -31,14 +31,6 @@ class IntersectionResult:
     quadratic_coeffs: tuple[float, float, float]
 
 
-@dataclass(frozen=True)
-class HistogramSummary:
-    """Density-normalized equal-width histogram (diagnostic only)."""
-
-    bin_edges: np.ndarray
-    densities: np.ndarray
-
-
 def estimate_gaussian(samples) -> GaussianEstimate:
     """Fit a descriptive Gaussian: sample mean and population (1/n) deviation.
 
@@ -156,18 +148,3 @@ def initialize_threshold(
     the means. The auto mean must exceed the cross mean.
     """
     return _threshold_with_source(intersection, auto, cross)[0]
-
-
-def histogram(samples, bins: int) -> HistogramSummary:
-    """Equal-width density histogram over the sample range.
-
-    A degenerate (single-value) range is widened to one unit around the value
-    so the occupied bin stays centered on it.
-    """
-    arr = np.asarray(samples, dtype=np.float64)
-    if arr.size == 0:
-        raise InputContractError("histogram needs at least one sample")
-    if bins < 1:
-        raise InputContractError("bins must be >= 1")
-    densities, edges = np.histogram(arr, bins=bins, density=True)
-    return HistogramSummary(bin_edges=edges, densities=densities)

@@ -131,7 +131,7 @@ def test_criterion_3_confusion_partition_and_monotonicity():
 
 
 def test_criterion_4_auc_matches_mann_whitney():
-    with _Criterion(4, "trapezoidal AUC vs Mann-Whitney pairwise oracle", 10.0):
+    with _Criterion(4, "AUC equals the Mann-Whitney pairwise oracle", 10.0):
         rng = np.random.default_rng(1004)
         for _ in range(100):
             na = int(rng.integers(2, 201))
@@ -143,7 +143,7 @@ def test_criterion_4_auc_matches_mann_whitney():
             )
             swept = roc_sweep(dist, 1001).auc
             oracle = mann_whitney_auc(dist.auto_samples, dist.cross_samples)
-            assert abs(swept - oracle) <= 0.01
+            assert swept == oracle
 
 
 def test_criterion_5_adaptive_dominates_fixed_thresholds():

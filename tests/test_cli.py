@@ -112,6 +112,30 @@ class TestAdapt:
         code = main(["adapt", "--gallery", str(synth_file), "--config", str(cfg)])
         assert code == EXIT_CONTRACT
 
+    @pytest.mark.parametrize(
+        "payload, entry",
+        [
+            ({"dimension": "x", "embeddings": []}, "'dimension'"),
+            (
+                {
+                    "dimension": 2,
+                    "embeddings": [
+                        {"identity": "a", "instance_id": "e1", "vector": [1.0, "q"]}
+                    ],
+                },
+                "embedding #0",
+            ),
+            ({"dimension": 2, "embeddings": [], "change_counter": "zz"}, "'change_counter'"),
+            ({"dimension": 2, "embeddings": 5}, "'embeddings'"),
+        ],
+        ids=["dimension", "vector", "counter", "embeddings"],
+    )
+    def test_bad_json_gallery_value_exit_2(self, tmp_path, capsys, payload, entry):
+        path = tmp_path / "g.json"
+        path.write_text(json.dumps(payload))
+        assert main(["adapt", "--gallery", str(path)]) == EXIT_CONTRACT
+        assert f"g.json: {entry}: " in capsys.readouterr().err
+
     def test_bad_tau_exit_2(self, synth_file):
         assert (
             main(["adapt", "--gallery", str(synth_file), "--tau", "1.5"])
@@ -169,6 +193,16 @@ class TestRoc:
         assert lines[0] == "lambda,fpr,tpr"
         assert lines[-1].startswith("# auc=")
         assert len([ln for ln in lines[1:] if not ln.startswith("#")]) == 51 + 2
+
+
+    @pytest.mark.parametrize("epsilon", ["nan", "inf"])
+    def test_non_finite_epsilon_exit_2(self, synth_file, tmp_path, epsilon):
+        out = tmp_path / "roc.csv"
+        code = main(
+            ["roc", "--embeddings", str(synth_file), "--epsilon", epsilon, "--out", str(out)]
+        )
+        assert code == EXIT_CONTRACT
+        assert not out.exists()
 
 
 class TestSimulateStream:

@@ -289,10 +289,6 @@ class TestExport:
             "fixed@0.7",
         }
 
-    def test_unknown_format(self, tmp_path):
-        with pytest.raises(InputContractError):
-            export(self.make_rows(), tmp_path / "rows.xml", format="xml")
-
 
 class TestRocExport:
     def test_perfect_separation_file(self, tmp_path):
@@ -315,7 +311,7 @@ class TestRocExport:
         roc_export(dist, path, num_points=1001)
         comment = [ln for ln in path.read_text().splitlines() if ln.startswith("#")]
         auc = float(comment[-1].split("=")[1])
-        assert auc == pytest.approx(0.5, abs=0.02)
+        assert auc == 0.5
 
 
 class TestSimulateStream:

@@ -295,7 +295,8 @@ class TestPersistence:
             back = loaded.embeddings_of(label)
             assert [e.instance_id for e in orig] == [e.instance_id for e in back]
             for a, b in zip(orig, back):
-                assert np.array_equal(a.vector, b.vector)  # bit-exact
+                assert a.vector.dtype == b.vector.dtype
+                assert a.vector.tobytes() == b.vector.tobytes()  # bit-exact
         return loaded
 
     def test_csv_round_trip(self, tmp_path):
@@ -421,6 +422,25 @@ class TestPersistence:
             for name in ("g.csv", "g.json"):
                 self.round_trip(g, Path(tmp) / name)
 
+    @settings(max_examples=100, deadline=None)
+    @given(
+        vectors=st.lists(
+            # unbounded finite floats: every exponent, subnormals and -0.0 included
+            st.lists(
+                st.floats(allow_nan=False, allow_infinity=False), min_size=3, max_size=3
+            ).filter(any),
+            min_size=1,
+            max_size=5,
+        )
+    )
+    def test_any_finite_vector_round_trips(self, vectors):
+        g = Gallery(3)
+        for k, vector in enumerate(vectors):
+            g.register(f"id{k % 2}", vector)
+        with tempfile.TemporaryDirectory() as tmp:
+            for name in ("g.csv", "g.json"):
+                self.round_trip(g, Path(tmp) / name)
+
 
 class TestConcurrency:
     def test_readers_survive_a_writer(self):
@@ -434,9 +454,13 @@ class TestConcurrency:
         errors = []
         seen = set()
         done = threading.Event()
+        # the writer starts only after every reader has matched once, so the
+        # readers overlap the writes however the threads are scheduled
+        started = threading.Barrier(4, timeout=60)
 
         def writer():
             try:
+                started.wait()
                 previous = None
                 for i in range(200):
                     iid = g.register(f"new{i}", np.arange(1.0, 9.0) + i)
@@ -451,11 +475,14 @@ class TestConcurrency:
         def reader(seed):
             try:
                 q_rng = np.random.default_rng(seed)
+                seen.add(g.match_query(q_rng.standard_normal(8), -1.0).identity)
+                started.wait()
                 while not done.is_set():
                     r = g.match_query(q_rng.standard_normal(8), -1.0)
                     seen.add(r.identity)
             except Exception as exc:  # pragma: no cover - failure path
                 errors.append(exc)
+                started.abort()
 
         threads = [threading.Thread(target=writer)] + [
             threading.Thread(target=reader, args=(k,)) for k in range(3)

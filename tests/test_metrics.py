@@ -1,13 +1,21 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from adathresh import (
+    AdaptConfig,
+    Gallery,
     InputContractError,
     SimilarityDistributions,
+    build_distributions,
     confusion_at,
     metrics_at,
+    roc_auc,
     roc_sweep,
+    run_incremental,
 )
+from adathresh.metrics import rates_at
 from conftest import mann_whitney_auc, naive_confusion
 
 THREE_V_THREE = SimilarityDistributions([0.2, 0.6, 0.8], [0.1, 0.3, 0.7])
@@ -116,22 +124,29 @@ class TestMetricsAt:
         with pytest.raises(InputContractError):
             metrics_at(THREE_V_THREE, 0.5, tpr_denominator="nonsense")
 
+    @pytest.mark.parametrize("epsilon", [float("nan"), float("inf")])
+    def test_non_finite_epsilon_rejected(self, epsilon):
+        with pytest.raises(InputContractError):
+            rates_at(THREE_V_THREE, np.array([0.5]), epsilon)
+        with pytest.raises(InputContractError):
+            roc_sweep(THREE_V_THREE, 11, epsilon)
+
 
 class TestRocSweep:
     def test_perfect_separation_auc(self):
         dist = SimilarityDistributions([0.9, 0.8], [0.1, 0.2])
         for n in (2, 3, 11, 101):
-            assert roc_sweep(dist, n).auc == pytest.approx(1.0, abs=1e-8)
+            assert roc_sweep(dist, n).auc == 1.0
 
     def test_identical_lists_near_chance(self):
         vals = [0.1, 0.25, 0.4, 0.55, 0.7]
         dist = SimilarityDistributions(vals, vals)
-        assert roc_sweep(dist, 1001).auc == pytest.approx(0.5, abs=0.02)
+        assert roc_sweep(dist, 1001).auc == 0.5
 
     def test_three_by_three_matches_mann_whitney(self):
         oracle = mann_whitney_auc([0.2, 0.6, 0.8], [0.1, 0.3, 0.7])
         assert oracle == pytest.approx(2 / 3, abs=1e-15)
-        assert roc_sweep(THREE_V_THREE, 1001).auc == pytest.approx(oracle, abs=0.01)
+        assert roc_sweep(THREE_V_THREE, 1001).auc == oracle
 
     def test_point_count_and_order(self):
         roc = roc_sweep(THREE_V_THREE, 25)
@@ -169,3 +184,44 @@ class TestRocSweep:
     def test_num_points_validated(self):
         with pytest.raises(InputContractError):
             roc_sweep(THREE_V_THREE, 1)
+
+
+# a handful of values, so auto and cross share many samples
+TIED_SAMPLES = st.lists(
+    st.sampled_from([-0.5, 0.0, 0.25, 0.5, 1.0]), min_size=1, max_size=40
+)
+# unit rows from a few directions: best similarities repeat exactly
+DIRECTIONS = [(1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (1.0, 1.0, 0.0), (1.0, 0.0, 1.0)]
+
+
+class TestRocAuc:
+    def test_empty_side_rejected(self):
+        with pytest.raises(InputContractError):
+            roc_auc(SimilarityDistributions([], [0.1]))
+
+    @settings(max_examples=200, deadline=None)
+    @given(auto=TIED_SAMPLES, cross=TIED_SAMPLES)
+    def test_ties_match_mann_whitney_exactly(self, auto, cross):
+        dist = SimilarityDistributions(auto, cross)
+        oracle = mann_whitney_auc(auto, cross)
+        assert roc_auc(dist) == oracle
+        assert roc_sweep(dist, 1001).auc == oracle
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        identities=st.lists(
+            st.lists(st.sampled_from(DIRECTIONS), min_size=1, max_size=3),
+            min_size=2,
+            max_size=6,
+        ),
+        first_pair=st.sampled_from(DIRECTIONS),
+    )
+    def test_run_incremental_reports_the_sweep_auc(self, identities, first_pair):
+        gallery = Gallery(3)
+        gallery.register("id0", first_pair)  # the first identity holds an auto pair
+        for k, vectors in enumerate(identities):
+            for v in vectors:
+                gallery.register(f"id{k}", v)
+        rows = run_incremental(gallery, AdaptConfig(), [0.5])
+        expected = roc_sweep(build_distributions(gallery), 1001).auc
+        assert {r.auc for r in rows if r.step == len(identities)} == {expected}

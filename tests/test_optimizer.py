@@ -374,6 +374,8 @@ class TestAdaptConfig:
             {"objective": "accuracy"},
             {"bound_mode": "everything"},
             {"tpr_denominator": "both"},
+            {"epsilon": float("nan")},
+            {"epsilon": float("inf")},
         ],
     )
     def test_validation(self, kwargs):

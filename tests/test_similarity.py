@@ -5,101 +5,29 @@ import numpy as np
 import pytest
 
 from adathresh import (
-    DimensionMismatchError,
     Gallery,
     InputContractError,
     SimilarityDistributions,
     ZeroVectorError,
     build_distributions,
-    cosine_distance,
-    cosine_similarity,
-    euclidean_distance,
 )
+from adathresh.similarity import unit_vector
 from conftest import naive_distributions
 
 
-class TestCosineSimilarity:
-    def test_identical_unit_vectors(self):
-        assert cosine_similarity([1, 0], [1, 0]) == 1.0
-
-    def test_orthogonal(self):
-        assert cosine_similarity([1, 0], [0, 1]) == 0.0
-
-    def test_45_degrees(self):
-        assert cosine_similarity([1, 1], [1, 0]) == pytest.approx(
-            1.0 / math.sqrt(2.0), rel=1e-15
-        )
-
-    def test_opposite(self):
-        assert cosine_similarity([1, 0], [-1, 0]) == -1.0
-
-    def test_symmetry(self):
-        rng = np.random.default_rng(7)
-        for _ in range(50):
-            x, y = rng.standard_normal(6), rng.standard_normal(6)
-            assert cosine_similarity(x, y) == cosine_similarity(y, x)
+class TestUnitVector:
+    def test_zero_vector_rejected(self):
+        with pytest.raises(ZeroVectorError):
+            unit_vector(np.zeros(2))
 
     def test_scale_invariance(self):
         rng = np.random.default_rng(8)
         for _ in range(50):
-            x, y = rng.standard_normal(5), rng.standard_normal(5)
+            x = rng.standard_normal(5)
             alpha = float(rng.uniform(0.01, 100.0))
-            assert cosine_similarity(alpha * x, y) == pytest.approx(
-                cosine_similarity(x, y), abs=1e-12
+            np.testing.assert_allclose(
+                unit_vector(alpha * x), unit_vector(x), rtol=0, atol=1e-12
             )
-
-    def test_result_clamped(self):
-        rng = np.random.default_rng(9)
-        for _ in range(200):
-            x = rng.standard_normal(3)
-            y = x * float(rng.uniform(0.5, 2.0))
-            assert -1.0 <= cosine_similarity(x, y) <= 1.0
-
-    def test_zero_vector_rejected(self):
-        with pytest.raises(ZeroVectorError):
-            cosine_similarity([0, 0], [1, 0])
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(DimensionMismatchError):
-            cosine_similarity([1, 0], [1, 0, 0])
-
-
-class TestCosineDistance:
-    def test_identical(self):
-        assert cosine_distance([2, 3], [2, 3]) == 0.0
-
-    def test_orthogonal(self):
-        assert cosine_distance([1, 0], [0, 1]) == 1.0
-
-    def test_antipodal(self):
-        assert cosine_distance([1, 0], [-1, 0]) == 2.0
-
-    def test_complement_of_similarity(self):
-        rng = np.random.default_rng(10)
-        for _ in range(50):
-            x, y = rng.standard_normal(4), rng.standard_normal(4)
-            assert cosine_distance(x, y) == 1.0 - cosine_similarity(x, y)
-
-
-class TestEuclideanDistance:
-    def test_same_point(self):
-        assert euclidean_distance([1.5, -2.0], [1.5, -2.0]) == 0.0
-
-    def test_3_4_5_triangle(self):
-        assert euclidean_distance([0, 0], [3, 4]) == 5.0
-
-    def test_one_dimensional(self):
-        assert euclidean_distance([1], [-1]) == 2.0
-
-    def test_symmetry(self):
-        rng = np.random.default_rng(11)
-        for _ in range(50):
-            x, y = rng.standard_normal(4), rng.standard_normal(4)
-            assert euclidean_distance(x, y) == euclidean_distance(y, x)
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(DimensionMismatchError):
-            euclidean_distance([1, 2], [1, 2, 3])
 
 
 class TestBuildDistributions:

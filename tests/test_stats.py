@@ -10,7 +10,6 @@ from adathresh import (
     IntersectionResult,
     estimate_gaussian,
     gaussian_pdf,
-    histogram,
     initialize_threshold,
     intersect_gaussians,
 )
@@ -208,30 +207,3 @@ class TestInitializeThreshold:
             cross = GaussianEstimate(mu2, s2, s2 * s2, 3)
             lam = initialize_threshold(intersect_gaussians(auto, cross), auto, cross)
             assert mu2 <= lam <= mu1
-
-
-class TestHistogram:
-    def test_two_bins(self):
-        h = histogram([0.0, 1.0], bins=2)
-        assert h.bin_edges.tolist() == [0.0, 0.5, 1.0]
-        assert h.densities.tolist() == [1.0, 1.0]
-
-    def test_degenerate_span(self):
-        h = histogram([0.7, 0.7, 0.7], bins=3)
-        assert h.bin_edges[0] < 0.7 < h.bin_edges[-1]
-        occupied = np.nonzero(h.densities)[0]
-        assert occupied.size == 1
-
-    def test_normalization(self):
-        rng = np.random.default_rng(46)
-        h = histogram(rng.standard_normal(1000), bins=50)
-        widths = np.diff(h.bin_edges)
-        assert float(np.sum(h.densities * widths)) == pytest.approx(1.0, abs=1e-9)
-
-    def test_empty_rejected(self):
-        with pytest.raises(InputContractError):
-            histogram([], bins=4)
-
-    def test_bad_bins_rejected(self):
-        with pytest.raises(InputContractError):
-            histogram([1.0], bins=0)
