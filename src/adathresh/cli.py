@@ -29,21 +29,23 @@ _OBJECTIVES = {"f1": "f1", "tpr-fpr-gap": "tpr_fpr_gap"}
 _BOUNDS = {"unbounded": "unbounded_01", "means": "means_bounded"}
 
 
-def _config_flags(parser: argparse.ArgumentParser) -> None:
+def _config_flags(parser: argparse.ArgumentParser, adapts: bool) -> None:
+    """The AdaptConfig flags a subcommand reads: every command reads
+    ``epsilon``; only those that adapt read the rest."""
     parser.add_argument("--config", help="JSON file with AdaptConfig field values")
-    parser.add_argument("--tau", type=float, help="target f1 (default 0.8)")
     parser.add_argument("--epsilon", type=float, help="division guard (default 1e-9)")
-    parser.add_argument("--objective", choices=sorted(_OBJECTIVES))
-    parser.add_argument("--bound", choices=sorted(_BOUNDS))
-    parser.add_argument("--tpr-denominator", choices=["standard", "paper"])
-    parser.add_argument("--recompute-every", type=int)
+    if adapts:
+        parser.add_argument("--tau", type=float, help="target f1 (default 0.8)")
+        parser.add_argument("--objective", choices=sorted(_OBJECTIVES))
+        parser.add_argument("--bound", choices=sorted(_BOUNDS))
+        parser.add_argument("--tpr-denominator", choices=["standard", "paper"])
 
 
 def _build_config(args) -> AdaptConfig:
     values = {}
     if getattr(args, "config", None):
         try:
-            with open(args.config) as fh:
+            with open(args.config, encoding="utf-8") as fh:
                 file_values = json.load(fh)
         except (OSError, json.JSONDecodeError) as exc:
             raise InputContractError(f"cannot read config file: {exc}") from exc
@@ -57,7 +59,6 @@ def _build_config(args) -> AdaptConfig:
     overrides = {
         "tau": getattr(args, "tau", None),
         "epsilon": getattr(args, "epsilon", None),
-        "recompute_every_n": getattr(args, "recompute_every", None),
         "tpr_denominator": getattr(args, "tpr_denominator", None),
     }
     if getattr(args, "objective", None) is not None:
@@ -158,7 +159,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("adapt", help="run one adaptation pass and print the state")
     p.add_argument("--gallery", required=True, help="embedding file (CSV or JSON)")
-    _config_flags(p)
+    _config_flags(p, adapts=True)
     p.set_defaults(func=_cmd_adapt)
 
     p = sub.add_parser("simulate", help="incremental-growth evaluation run")
@@ -169,7 +170,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="rows CSV/JSON path")
     p.add_argument("--summary", help="optional summary JSON path")
     p.add_argument("--per-step-roc", action="store_true", help="AUC at every step")
-    _config_flags(p)
+    _config_flags(p, adapts=True)
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("synth", help="generate clustered synthetic embeddings")
@@ -186,7 +187,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--embeddings", required=True)
     p.add_argument("--points", type=int, default=1001)
     p.add_argument("--out", required=True)
-    _config_flags(p)
+    _config_flags(p, adapts=False)
     p.set_defaults(func=_cmd_roc)
 
     p = sub.add_parser(

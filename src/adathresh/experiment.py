@@ -5,14 +5,14 @@ from __future__ import annotations
 import csv
 import json
 import random
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
 from .errors import InputContractError
 from .gallery import FLOAT_FORMAT, Embedding, Gallery
-from .metrics import metrics_at, roc_auc, roc_sweep
+from .metrics import rates_at, roc_auc, roc_sweep
 from .optimizer import AdaptConfig, _adapt_built, optimize_f1
 from .similarity import build_distributions
 
@@ -142,6 +142,8 @@ def run_incremental(
             "one of the first two identities must hold at least 2 embeddings"
         )
 
+    fixed = [float(value) for value in fixed_list]
+    kinds = ["adaptive", *(f"fixed@{value:g}" for value in fixed)]
     gallery = Gallery(source.dimension)
     state = None
     rows: list[ExperimentRow] = []
@@ -165,28 +167,16 @@ def run_incremental(
             adaptive_lambda = state.lambda_current
         else:
             adaptive_lambda, _ = optimize_f1(dist, config)
-        kinds = [("adaptive", adaptive_lambda)]
-        kinds += [(f"fixed@{value:g}", float(value)) for value in fixed_list]
-        step_rows = []
-        for kind, threshold in kinds:
-            m = metrics_at(dist, threshold, config.epsilon, config.tpr_denominator)
-            step_rows.append(
-                ExperimentRow(
-                    step=step,
-                    threshold_kind=kind,
-                    lambda_=float(threshold),
-                    precision=m.precision,
-                    recall=m.recall,
-                    f1=m.f1,
-                    accuracy=m.accuracy,
-                    tpr=m.tpr,
-                    fpr=m.fpr,
-                )
-            )
-        if per_step_roc or step == len(labels):
-            auc = roc_auc(dist)
-            step_rows = [replace(r, auc=auc) for r in step_rows]
-        rows.extend(step_rows)
+        # one rates_at call for every kind; it works element by element, so each
+        # kind scores exactly as it would alone
+        thresholds = np.array([adaptive_lambda, *fixed], dtype=np.float64)
+        r = rates_at(dist, thresholds, config.epsilon, config.tpr_denominator)
+        auc = roc_auc(dist) if per_step_roc or step == len(labels) else None
+        columns = (thresholds, r.precision, r.recall, r.f1, r.accuracy, r.tpr, r.fpr)
+        rows.extend(
+            ExperimentRow(step, kind, *values, auc=auc)
+            for kind, *values in zip(kinds, *(c.tolist() for c in columns))
+        )
     return rows
 
 
@@ -216,13 +206,9 @@ def summarize(rows: list[ExperimentRow], f1_target: float = 0.8) -> SummaryRepor
     and the share of steps reaching the f1 target (%)."""
     if not rows:
         raise InputContractError("no rows to summarize")
-    order: list[str] = []
-    by_kind: dict[str, list[ExperimentRow]] = {}
+    by_kind: dict[str, list[ExperimentRow]] = {}  # in first-seen order
     for row in rows:
-        if row.threshold_kind not in by_kind:
-            order.append(row.threshold_kind)
-            by_kind[row.threshold_kind] = []
-        by_kind[row.threshold_kind].append(row)
+        by_kind.setdefault(row.threshold_kind, []).append(row)
 
     mean_acc = {
         kind: sum(r.accuracy for r in krows) / len(krows)
@@ -231,8 +217,7 @@ def summarize(rows: list[ExperimentRow], f1_target: float = 0.8) -> SummaryRepor
     adaptive_acc = mean_acc.get("adaptive")
 
     kinds = []
-    for kind in order:
-        krows = by_kind[kind]
+    for kind, krows in by_kind.items():
         final = max(krows, key=lambda r: r.step)
         hits = sum(1 for r in krows if r.f1 >= f1_target)
         if kind == "adaptive" or adaptive_acc is None or mean_acc[kind] == 0.0:
@@ -259,102 +244,65 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _row_values(row: ExperimentRow) -> list:
-    return [
-        row.step,
-        row.threshold_kind,
-        row.lambda_,
-        row.precision,
-        row.recall,
-        row.f1,
-        row.accuracy,
-        row.tpr,
-        row.fpr,
-        row.auc,
-    ]
+def _values(record) -> list:
+    return [getattr(record, f.name) for f in fields(record)]
+
+
+def _optional_float(value) -> float | None:
+    return None if value in ("", None) else float(value)
+
+
+# how read_rows turns each ROW_COLUMNS entry back into its ExperimentRow field
+_ROW_CONVERTERS = (int, str, *[float] * 7, _optional_float)
 
 
 def export(data, path) -> None:
     """Write experiment rows or a summary report to CSV or JSON.
 
     The path extension picks the format: .json means JSON, anything else CSV.
-    Row CSVs use the canonical column order; floats carry 17 significant
+    Values are written in field order (rows under ``ROW_COLUMNS``, a report's
+    CSV under ``KindSummary``'s field names); floats carry 17 significant
     digits so parsing them back is lossless.
     """
     path = Path(path)
-    fmt = "json" if path.suffix.lower() == ".json" else "csv"
-
     if isinstance(data, SummaryReport):
-        _export_report(data, path, fmt)
-        return
-    rows = list(data)
-    if fmt == "json":
-        payload = [dict(zip(ROW_COLUMNS, _row_values(r))) for r in rows]
-        with open(path, "w") as fh:
+        header = [f.name for f in fields(KindSummary)]
+        records = [_values(k) for k in data.kinds]
+        payload = asdict(data)
+    else:
+        header = ROW_COLUMNS
+        records = [_values(r) for r in data]
+        payload = [dict(zip(header, values)) for values in records]
+    if path.suffix.lower() == ".json":
+        with open(path, "w", encoding="utf-8") as fh:
             json.dump(payload, fh, indent=2)
             fh.write("\n")
     else:
-        with open(path, "w", newline="") as fh:
+        with open(path, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
-            writer.writerow(ROW_COLUMNS)
-            for r in rows:
-                writer.writerow([_fmt(v) for v in _row_values(r)])
-
-
-def _export_report(report: SummaryReport, path: Path, fmt: str) -> None:
-    if fmt == "json":
-        with open(path, "w") as fh:
-            json.dump(asdict(report), fh, indent=2)
-            fh.write("\n")
-    else:
-        fields = [
-            "threshold_kind",
-            "mean_accuracy_pct",
-            "auc",
-            "f1_at_least_target_pct",
-            "relative_accuracy_gain_pct",
-        ]
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(fields)
-            for k in report.kinds:
-                writer.writerow([_fmt(getattr(k, f)) for f in fields])
+            writer.writerow(header)
+            writer.writerows([_fmt(v) for v in values] for values in records)
 
 
 def read_rows(path) -> list[ExperimentRow]:
     """Parse rows written by :func:`export` (CSV or JSON)."""
     path = Path(path)
-    if path.suffix.lower() == ".json":
-        with open(path) as fh:
+    with open(path, newline="", encoding="utf-8") as fh:
+        if path.suffix.lower() == ".json":
             records = json.load(fh)
-    else:
-        with open(path, newline="") as fh:
-            reader = csv.DictReader(fh)
-            records = list(reader)
-    rows = []
-    for rec in records:
-        rows.append(
-            ExperimentRow(
-                step=int(rec["step"]),
-                threshold_kind=rec["threshold_kind"],
-                lambda_=float(rec["lambda"]),
-                precision=float(rec["precision"]),
-                recall=float(rec["recall"]),
-                f1=float(rec["f1"]),
-                accuracy=float(rec["accuracy"]),
-                tpr=float(rec["tpr"]),
-                fpr=float(rec["fpr"]),
-                auc=float(rec["auc"]) if rec["auc"] not in ("", None) else None,
-            )
-        )
-    return rows
+        else:
+            records = list(csv.DictReader(fh))
+    columns = list(zip(ROW_COLUMNS, _ROW_CONVERTERS))
+    return [
+        ExperimentRow(*(convert(rec[col]) for col, convert in columns)) for rec in records
+    ]
 
 
 def roc_export(dist, path, num_points: int = 1001, epsilon: float = 1e-9) -> None:
     """CSV of (lambda, fpr, tpr) sweep triples with the AUC in a trailing
     comment row."""
     roc = roc_sweep(dist, num_points, epsilon)
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["lambda", "fpr", "tpr"])
         for fpr, tpr, lam in roc.points:
@@ -420,7 +368,7 @@ def simulate_stream(
 
 def export_stream_events(events: list[StreamEvent], path) -> None:
     """Write stream replay events as CSV."""
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(EVENT_COLUMNS)
         for e in events:

@@ -22,6 +22,9 @@ from .similarity import unit_vector
 # 17 significant digits round-trips any float64 exactly through decimal text.
 FLOAT_FORMAT = ".17g"
 
+# the counters a saved gallery carries, in the order they are written
+_COUNTERS = ("change_counter", "registrations_since_adapt")
+
 
 @dataclass(frozen=True)
 class Embedding:
@@ -202,43 +205,45 @@ class Gallery:
     # -- persistence ---------------------------------------------------------
 
     def save(self, path) -> None:
-        """Write the gallery to ``path``; .json gets JSON, anything else CSV."""
-        path = Path(path)
-        if path.suffix.lower() == ".json":
-            self._save_json(path)
-        else:
-            self._save_csv(path)
+        """Write the gallery to ``path``; .json gets JSON, anything else CSV.
 
-    def _save_csv(self, path: Path) -> None:
+        The counters and the embeddings are read under one hold of the lock,
+        so the file's counters always belong to the rows it holds.
+        """
+        path = Path(path)
+        with self._lock:
+            counters = {key: getattr(self, key) for key in _COUNTERS}
+            embeddings = [e for embs in self._identities.values() for e in embs]
+        if path.suffix.lower() == ".json":
+            self._save_json(path, counters, embeddings)
+        else:
+            self._save_csv(path, counters, embeddings)
+
+    def _save_csv(self, path: Path, counters: dict, embeddings: list[Embedding]) -> None:
         with open(path, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
             writer.writerow(
                 ["identity", "instance_id"] + [f"v{i}" for i in range(self.dimension)]
             )
-            _, identities = self.snapshot()
-            for label, embs in identities.items():
-                for e in embs:
-                    writer.writerow(
-                        [label, e.instance_id]
-                        + [format(x, FLOAT_FORMAT) for x in e.vector]
-                    )
-            fh.write(f"# change_counter={self.change_counter}\n")
-            fh.write(f"# registrations_since_adapt={self.registrations_since_adapt}\n")
+            for e in embeddings:
+                writer.writerow(
+                    [e.identity, e.instance_id]
+                    + [format(x, FLOAT_FORMAT) for x in e.vector]
+                )
+            for key, value in counters.items():
+                fh.write(f"# {key}={value}\n")
 
-    def _save_json(self, path: Path) -> None:
-        _, identities = self.snapshot()
+    def _save_json(self, path: Path, counters: dict, embeddings: list[Embedding]) -> None:
         payload = {
             "dimension": self.dimension,
-            "change_counter": self.change_counter,
-            "registrations_since_adapt": self.registrations_since_adapt,
+            **counters,
             "embeddings": [
                 {
-                    "identity": label,
+                    "identity": e.identity,
                     "instance_id": e.instance_id,
                     "vector": e.vector.tolist(),
                 }
-                for label, embs in identities.items()
-                for e in embs
+                for e in embeddings
             ],
         }
         with open(path, "w", encoding="utf-8") as fh:
@@ -257,7 +262,7 @@ class Gallery:
 
     @classmethod
     def _load_csv(cls, path: Path) -> "Gallery":
-        meta: dict[str, int] = {}
+        meta: dict[str, str] = {}
         gallery = None
         with open(path, newline="", encoding="utf-8") as fh:
             reader = csv.reader(fh)
@@ -271,10 +276,7 @@ class Gallery:
                     if body.startswith("#"):
                         key, eq, value = body.lstrip("#").partition("=")
                         if eq:
-                            try:
-                                meta[key.strip()] = int(value)
-                            except ValueError:
-                                pass
+                            meta[key.strip()] = value
                         continue
                     if not body:
                         continue
@@ -304,7 +306,7 @@ class Gallery:
                     raise GalleryFormatError(f"{path}:{lineno}: {exc}") from exc
         if gallery is None:
             raise GalleryFormatError(f"{path}: empty file, no header row")
-        gallery._apply_meta(meta)
+        gallery._apply_meta(path, meta, from_text=True)
         return gallery
 
     @classmethod
@@ -334,18 +336,26 @@ class Gallery:
                 )
             except (KeyError, TypeError, ValueError) as exc:
                 raise GalleryFormatError(f"{path}: embedding #{i}: {exc}") from exc
-        meta = {}
-        for key in ("change_counter", "registrations_since_adapt"):
-            if key in payload:
-                try:
-                    meta[key] = int(payload[key])
-                except (TypeError, ValueError) as exc:
-                    raise GalleryFormatError(f"{path}: {key!r}: {exc}") from exc
-        gallery._apply_meta(meta)
+        gallery._apply_meta(path, payload, from_text=False)
         return gallery
 
-    def _apply_meta(self, meta: dict[str, int]) -> None:
-        if "change_counter" in meta:
-            self.change_counter = meta["change_counter"]
-        if "registrations_since_adapt" in meta:
-            self.registrations_since_adapt = meta["registrations_since_adapt"]
+    def _apply_meta(self, path: Path, meta: dict, from_text: bool) -> None:
+        """Set the counters a file carries; other keys are ignored.
+
+        Each counter must be an integer >= 0: text that ``int()`` parses in a
+        CSV comment (``from_text``), a JSON integer that is not a bool in JSON.
+        """
+        for key in _COUNTERS:
+            if key not in meta:
+                continue
+            value = meta[key]
+            if from_text:
+                try:
+                    value = int(value)
+                except ValueError:
+                    pass
+            if type(value) is not int or value < 0:
+                raise GalleryFormatError(
+                    f"{path}: {key!r}: expected an integer >= 0, got {meta[key]!r}"
+                )
+            setattr(self, key, value)

@@ -1,5 +1,10 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -136,6 +141,29 @@ class TestAdapt:
         assert main(["adapt", "--gallery", str(path)]) == EXIT_CONTRACT
         assert f"g.json: {entry}: " in capsys.readouterr().err
 
+    @pytest.mark.parametrize("suffix", ["csv", "json"])
+    @pytest.mark.parametrize(
+        "key, text, value",
+        [("change_counter", "zz", 3.7), ("registrations_since_adapt", "-5", -5)],
+        ids=["non-integer", "negative"],
+    )
+    def test_bad_counter_exit_2(self, synth_file, tmp_path, capsys, suffix, key, text, value):
+        path = tmp_path / f"g.{suffix}"
+        Gallery.load(synth_file).save(path)
+        if suffix == "json":
+            payload = json.loads(path.read_text(encoding="utf-8"))
+            payload[key] = value
+            path.write_text(json.dumps(payload), encoding="utf-8")
+        else:
+            # comments with other keys or without "=" stay plain comments
+            lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+            lines = ["# note\n", "# camera=3\n"] + [
+                f"# {key}={text}\n" if ln.startswith(f"# {key}=") else ln for ln in lines
+            ]
+            path.write_text("".join(lines), encoding="utf-8")
+        assert main(["adapt", "--gallery", str(path)]) == EXIT_CONTRACT
+        assert f"g.{suffix}: {key!r}: " in capsys.readouterr().err
+
     def test_bad_tau_exit_2(self, synth_file):
         assert (
             main(["adapt", "--gallery", str(synth_file), "--tau", "1.5"])
@@ -203,6 +231,68 @@ class TestRoc:
         )
         assert code == EXIT_CONTRACT
         assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["adapt", "--gallery", "g.csv", "--recompute-every", "5"],
+        ["simulate", "--embeddings", "g.csv", "--out", "r.csv", "--recompute-every", "5"],
+        ["roc", "--embeddings", "g.csv", "--out", "roc.csv", "--recompute-every", "5"],
+        ["roc", "--embeddings", "g.csv", "--out", "roc.csv", "--tau", "0.9"],
+        ["roc", "--embeddings", "g.csv", "--out", "roc.csv", "--objective", "f1"],
+        ["roc", "--embeddings", "g.csv", "--out", "roc.csv", "--bound", "means"],
+        ["roc", "--embeddings", "g.csv", "--out", "roc.csv", "--tpr-denominator", "paper"],
+    ],
+    ids=["adapt-recompute", "simulate-recompute", "roc-recompute", "roc-tau",
+         "roc-objective", "roc-bound", "roc-tpr-denominator"],
+)
+def test_flag_a_subcommand_does_not_read_exits_2(argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+
+
+_UTF8_SCRIPT = textwrap.dedent(
+    """
+    import json
+    from pathlib import Path
+
+    from adathresh import (
+        Gallery, SimilarityDistributions, SynthSpec, export, export_stream_events,
+        generate_synthetic, read_rows, roc_export, run_incremental, simulate_stream,
+        summarize,
+    )
+    from adathresh.cli import main
+
+    g = generate_synthetic(SynthSpec(4, 3, 8, 0.2, 1.0, rng_seed=1), "g.csv")
+    rows = run_incremental(g, fixed_list=[0.5])
+    for ext in ("csv", "json"):
+        export(rows, f"rows.{ext}")
+        assert read_rows(f"rows.{ext}") == rows
+        export(summarize(rows), f"summary.{ext}")
+    roc_export(SimilarityDistributions([0.9, 0.8], [0.1, 0.2]), "roc.csv")
+    named = Gallery(3)
+    named.register("Zoë Ørsted 李", [1.0, 0.0, 0.0])
+    events = simulate_stream(named, named.embeddings_of("Zoë Ørsted 李"), 0.5)
+    export_stream_events(events, "events.csv")
+    assert "Zoë Ørsted 李" in Path("events.csv").read_text(encoding="utf-8")
+    Path("config.json").write_text(json.dumps({"tau": 0.85}), encoding="utf-8")
+    assert main(["adapt", "--gallery", "g.csv", "--config", "config.json"]) == 0
+    """
+)
+
+
+def test_every_text_file_is_utf8(tmp_path):
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-X", "warn_default_encoding", "-W", "error::EncodingWarning",
+         "-c", _UTF8_SCRIPT],
+        cwd=tmp_path, env=env, capture_output=True, text=True, encoding="utf-8",
+    )
+    assert done.returncode == 0, done.stderr
 
 
 class TestSimulateStream:

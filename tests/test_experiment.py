@@ -1,5 +1,6 @@
 import csv
 import json
+import random
 
 import numpy as np
 import pytest
@@ -17,7 +18,9 @@ from adathresh import (
     export,
     export_stream_events,
     generate_synthetic,
+    metrics_at,
     read_rows,
+    roc_auc,
     roc_export,
     run_incremental,
     simulate_stream,
@@ -109,6 +112,32 @@ class TestRunIncremental:
         g = generate_synthetic(small_spec())
         with pytest.raises(InputContractError):
             run_incremental(g, AdaptConfig(), [0.5], identity_order="random")
+
+    def test_rows_equal_metrics_at_of_each_step(self):
+        g = generate_synthetic(small_spec(num_identities=9, within_spread=0.45, rng_seed=3))
+        config = AdaptConfig(tpr_denominator="paper")
+        rows = run_incremental(
+            g, config, [], identity_order="shuffle", seed=5, per_step_roc=True
+        )
+        labels = g.identities
+        random.Random(5).shuffle(labels)
+        grown = Gallery(g.dimension)
+        dists = {}
+        for step, label in enumerate(labels, 1):
+            for e in g.embeddings_of(label):
+                grown.register(label, e.vector)
+            if step >= 2:
+                dists[step] = build_distributions(grown)
+        assert [(r.step, r.threshold_kind) for r in rows] == [
+            (step, "adaptive") for step in dists
+        ]
+        for r in rows:
+            dist = dists[r.step]
+            m = metrics_at(dist, r.lambda_, config.epsilon, config.tpr_denominator)
+            assert (r.precision, r.recall, r.f1, r.accuracy, r.tpr, r.fpr) == (
+                m.precision, m.recall, m.f1, m.accuracy, m.tpr, m.fpr
+            )
+            assert r.auc == roc_auc(dist)
 
     def test_one_build_per_step_and_rows_as_with_public_adapt(self, monkeypatch):
         g = generate_synthetic(small_spec(num_identities=10, within_spread=0.5))
@@ -288,6 +317,23 @@ class TestExport:
             "fixed@0.3",
             "fixed@0.7",
         }
+
+
+    def test_summary_csv_header_and_cells(self, tmp_path):
+        rep = summarize(self.make_rows())
+        path = tmp_path / "summary.csv"
+        export(rep, path)
+        lines = path.read_text(encoding="utf-8").splitlines()
+        assert lines[0] == (
+            "threshold_kind,mean_accuracy_pct,auc,f1_at_least_target_pct,"
+            "relative_accuracy_gain_pct"
+        )
+        adaptive = rep.kinds[0]
+        assert adaptive.threshold_kind == "adaptive"
+        assert adaptive.relative_accuracy_gain_pct is None
+        values = (adaptive.mean_accuracy_pct, adaptive.auc, adaptive.f1_at_least_target_pct)
+        # a None gain is an empty cell
+        assert lines[1] == ",".join(["adaptive", *(format(v, ".17g") for v in values), ""])
 
 
 class TestRocExport:

@@ -501,3 +501,29 @@ class TestConcurrency:
         assert seen and seen <= registered
         assert g.change_counter == 4 + 200 + 100
         assert len(g) == 4 + 100
+
+    def test_saved_counters_belong_to_saved_rows(self, tmp_path):
+        # a registration that lands while save runs must not reach the file's
+        # counters without its row
+        for name in ("g.csv", "g.json"):
+            g = two_identity_gallery()
+            lock = g._lock
+
+            class RegistersOnFirstRelease:
+                released = False
+
+                def __enter__(self):
+                    return lock.__enter__()
+
+                def __exit__(self, *exc):
+                    lock.__exit__(*exc)
+                    if not RegistersOnFirstRelease.released:
+                        RegistersOnFirstRelease.released = True
+                        g.register("late", [0.0, 0.0, 1.0])
+
+            g._lock = RegistersOnFirstRelease()
+            g.save(tmp_path / name)
+            assert len(g) == 4  # the late registration did land
+            loaded = Gallery.load(tmp_path / name)
+            assert loaded.change_counter == len(loaded)
+            assert loaded.registrations_since_adapt == len(loaded)
