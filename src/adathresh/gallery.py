@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import json
+import operator
 import threading
 from dataclasses import dataclass
 from pathlib import Path
@@ -60,9 +61,10 @@ class Gallery:
     """
 
     def __init__(self, dimension: int):
-        if int(dimension) < 2:
+        dimension = operator.index(dimension)
+        if dimension < 2:
             raise InputContractError("gallery dimension must be >= 2")
-        self.dimension = int(dimension)
+        self.dimension = dimension
         self.change_counter = 0
         self.registrations_since_adapt = 0
         self._identities: dict[str, list[Embedding]] = {}
@@ -318,17 +320,22 @@ class Gallery:
             raise GalleryFormatError(f"{path}: invalid JSON: {exc}") from exc
         if not isinstance(payload, dict) or "dimension" not in payload:
             raise GalleryFormatError(f"{path}: missing 'dimension' key")
-        # InputContractError is a ValueError, so each clause also turns the
-        # gallery's own validation failures into a format error
+        dimension = payload["dimension"]
+        if type(dimension) is not int:
+            raise GalleryFormatError(
+                f"{path}: 'dimension': expected an integer, got {dimension!r}"
+            )
         try:
-            gallery = cls(int(payload["dimension"]))
-        except (TypeError, ValueError) as exc:
+            gallery = cls(dimension)
+        except InputContractError as exc:
             raise GalleryFormatError(f"{path}: 'dimension': {exc}") from exc
         entries = payload.get("embeddings", [])
         if not isinstance(entries, list):
             raise GalleryFormatError(
                 f"{path}: 'embeddings': expected a list, got {type(entries).__name__}"
             )
+        # InputContractError is a ValueError, so this clause also turns the
+        # gallery's own validation failures into a format error
         for i, entry in enumerate(entries):
             try:
                 gallery.register(

@@ -127,6 +127,14 @@ def _scan_best(
     return x, score
 
 
+def _distinct_values(dist: SimilarityDistributions) -> np.ndarray:
+    """The distinct values of both sample sides, ascending: what
+    ``np.unique`` gives for their concatenation. Both sides are already
+    sorted, so a stable sort merges the two runs in linear time."""
+    merged = np.sort(np.concatenate(dist.sorted_samples), kind="stable")
+    return merged[np.concatenate(([True], merged[1:] != merged[:-1]))]
+
+
 def _optimize(
     dist: SimilarityDistributions,
     config: AdaptConfig,
@@ -135,7 +143,7 @@ def _optimize(
     if dist.auto_samples.size == 0 or dist.cross_samples.size == 0:
         raise InputContractError("need at least one auto and one cross sample")
     lo, hi = _search_bounds(dist, config)
-    values = np.unique(np.concatenate(dist.sorted_samples))
+    values = _distinct_values(dist)
 
     def score_fn(thresholds: np.ndarray) -> np.ndarray:
         return score(rates_at(dist, thresholds, config.epsilon, config.tpr_denominator))

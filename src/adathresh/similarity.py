@@ -81,28 +81,49 @@ class SimilarityDistributions:
         )
 
 
+# Row budget of one band in ``_pairs_from_identities``: a band's working
+# memory is this many rows times the gallery size, in place of the full Gram.
+_BAND_ROWS = 256
+
+
 def _pairs_from_identities(
     unit: np.ndarray, spans: list[tuple[int, int]]
-) -> tuple[list[float], list[float]]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Best similarity within each identity holding two or more rows (auto)
     and between each unordered pair of identities (cross), in span order.
 
     ``unit`` holds unit rows grouped by identity; ``spans`` gives each
-    identity's ``(lo, hi)`` row range.
+    identity's ``(lo, hi)`` row range. The similarities are computed in row
+    bands of whole identities, at most ``_BAND_ROWS`` rows each unless one
+    identity alone is larger. A band is paired only with the rows from its
+    own start onward, which hold every pair its identities still need.
     """
-    gram = unit @ unit.T
-    np.clip(gram, -1.0, 1.0, out=gram)
-    auto: list[float] = []
-    cross: list[float] = []
-    for lo, hi in spans:
-        k = hi - lo
-        if k >= 2:
-            # pairing an instance with itself always scores 1.0; only
-            # distinct-instance pairs carry information
-            auto.append(float(gram[lo:hi, lo:hi][~np.eye(k, dtype=bool)].max()))
-    for i, (lo_i, hi_i) in enumerate(spans):
-        for lo_j, hi_j in spans[i + 1 :]:
-            cross.append(float(gram[lo_i:hi_i, lo_j:hi_j].max()))
+    n = len(spans)
+    auto = np.empty(sum(1 for lo, hi in spans if hi - lo >= 2))
+    cross = np.empty(n * (n - 1) // 2)
+    a = c = 0
+    i = 0
+    while i < n:
+        b_lo = spans[i][0]
+        j = i + 1
+        while j < n and spans[j][1] - b_lo <= _BAND_ROWS:
+            j += 1
+        band = unit[b_lo : spans[j - 1][1]] @ unit[b_lo:].T
+        np.clip(band, -1.0, 1.0, out=band)
+        rel = [(lo - b_lo, hi - b_lo) for lo, hi in spans[i:]]
+        for k, (lo, hi) in enumerate(rel[: j - i]):
+            rows = band[lo:hi]
+            if hi - lo >= 2:
+                # pairing an instance with itself always scores 1.0; only
+                # distinct-instance pairs carry information
+                auto[a] = rows[:, lo:hi][~np.eye(hi - lo, dtype=bool)].max()
+                a += 1
+            for lo_j, hi_j in rel[k + 1 :]:
+                cross[c] = rows[:, lo_j:hi_j].max()
+                c += 1
+        # free this band before the next one is computed
+        del band, rows
+        i = j
     return auto, cross
 
 
@@ -127,7 +148,7 @@ def build_distributions(gallery: "Gallery") -> SimilarityDistributions:
     if len(spans) < 2:
         raise InputContractError("need at least 2 identities to form cross pairs")
     auto, cross = _pairs_from_identities(rows[order], spans)
-    if not auto:
+    if not auto.size:
         logger.warning(
             "no identity has two or more embeddings: auto distribution is empty"
         )

@@ -1,7 +1,9 @@
-"""The benchmark's replays (``perfbench/workloads.py``) against the program.
+"""The benchmark's replays (``perfbench/workloads.py``) and checks against
+the program.
 
 The benchmark's traced runs rebuild ``run_incremental``, ``adapt`` and the
-``maybe_adapt`` trigger from the layers' public functions. If the program
+``maybe_adapt`` trigger from the layers' public functions, and its runs check
+the similarity samples against ``perfbench/oracles.py``. If the program
 changes under them, these checks fail here rather than only in a benchmark
 run.
 """
@@ -11,10 +13,19 @@ from pathlib import Path
 
 import numpy as np
 
-from adathresh import SynthSpec, adapt, generate_synthetic, maybe_adapt, run_incremental
+from adathresh import (
+    Gallery,
+    SynthSpec,
+    adapt,
+    build_distributions,
+    generate_synthetic,
+    maybe_adapt,
+    run_incremental,
+)
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 
+import oracles  # noqa: E402
 import workloads  # noqa: E402
 from spans import Tracer  # noqa: E402
 
@@ -50,3 +61,20 @@ def test_should_adapt_is_the_trigger_of_maybe_adapt():
         adapted += expected
         state = new
     assert adapted >= 1  # the trigger fired at least once within the run
+
+
+def test_build_matches_the_block_max_oracle_across_bands():
+    # the check readapt-hard runs after its rounds, on a gallery whose
+    # identities span several row bands: uneven sizes, one identity larger
+    # than a band and rows registered out of label order
+    sizes = [3, 300, 1, 17, 120, 2, 90, 64, 5, 200, 1, 33]
+    rng = np.random.default_rng(11)
+    labels = [f"u{i:02d}" for i, k in enumerate(sizes) for _ in range(k)]
+    g = Gallery(16)
+    for i in rng.permutation(len(labels)):
+        g.register(labels[i], rng.standard_normal(16))
+    auto, cross = oracles.BlockMax(*workloads._vectors_and_labels(g)).samples()
+    dist = build_distributions(g)
+    assert dist.auto_samples.size == auto.size and dist.cross_samples.size == cross.size
+    assert np.allclose(np.sort(dist.auto_samples), auto, rtol=0.0, atol=1e-12)
+    assert np.allclose(np.sort(dist.cross_samples), cross, rtol=0.0, atol=1e-12)

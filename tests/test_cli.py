@@ -141,6 +141,27 @@ class TestAdapt:
         assert main(["adapt", "--gallery", str(path)]) == EXIT_CONTRACT
         assert f"g.json: {entry}: " in capsys.readouterr().err
 
+    @pytest.mark.parametrize("dimension", [2.9, "3", 2.0, True])
+    def test_non_integer_json_dimension_exit_2(self, tmp_path, capsys, dimension):
+        # each vector has the length int(dimension) gives, so only the type of
+        # the dimension is wrong
+        rng = np.random.default_rng(1)
+        payload = {
+            "dimension": dimension,
+            "embeddings": [
+                {
+                    "identity": label,
+                    "instance_id": f"e{i}",
+                    "vector": rng.random(int(dimension)).tolist(),
+                }
+                for i, label in enumerate("aabb")
+            ],
+        }
+        path = tmp_path / "g.json"
+        path.write_text(json.dumps(payload))
+        assert main(["adapt", "--gallery", str(path)]) == EXIT_CONTRACT
+        assert "g.json: 'dimension': " in capsys.readouterr().err
+
     @pytest.mark.parametrize("suffix", ["csv", "json"])
     @pytest.mark.parametrize(
         "key, text, value",

@@ -82,6 +82,11 @@ class TestRegister:
         with pytest.raises(InputContractError):
             Gallery(1)
 
+    def test_dimension_must_be_an_integer(self):
+        with pytest.raises(TypeError):
+            Gallery(2.9)
+        assert Gallery(np.int64(3)).dimension == 3
+
 
 # finite floats whose exponents span the whole range, subnormals included
 wide_floats = st.builds(

@@ -22,6 +22,7 @@ from adathresh import (
     select_threshold,
     tpr_fpr_objective,
 )
+from adathresh.optimizer import _distinct_values
 from conftest import (
     clustered_gallery,
     naive_f1,
@@ -140,6 +141,8 @@ SAMPLES = st.lists(
 )
 def test_sweep_is_exact_on_every_plateau(auto, cross, objective, bound_mode, tpr_denominator):
     dist = SimilarityDistributions(auto, cross)
+    # the candidates: every distinct value once, merged from the sorted sides
+    assert np.array_equal(_distinct_values(dist), np.unique(np.concatenate([auto, cross])))
     config = AdaptConfig(
         objective=objective, bound_mode=bound_mode, tpr_denominator=tpr_denominator
     )

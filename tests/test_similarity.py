@@ -1,8 +1,12 @@
 import math
+import tracemalloc
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from adathresh import (
     Gallery,
@@ -11,6 +15,7 @@ from adathresh import (
     ZeroVectorError,
     build_distributions,
 )
+from adathresh import similarity
 from adathresh.similarity import unit_vector
 from conftest import naive_distributions
 
@@ -122,6 +127,40 @@ class TestBuildDistributions:
             dist = build_distributions(g)
         assert dist.auto_samples == pytest.approx([math.sqrt(0.5)], abs=1e-12)
         assert dist.cross_samples == pytest.approx([1.0], abs=1e-12)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    band_rows=st.sampled_from([1, 2, 3, 7]),
+    sizes=st.lists(st.integers(1, 6), min_size=2, max_size=12),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_banded_build_matches_brute_force(band_rows, sizes, seed):
+    # bands end on every identity boundary, and identities larger than the
+    # band budget each get a band to themselves
+    rng = np.random.default_rng(seed)
+    labels = [f"id{i}" for i, k in enumerate(sizes) for _ in range(k)]
+    g = Gallery(4)
+    for i in rng.permutation(len(labels)):
+        g.register(labels[i], rng.standard_normal(4))
+    with mock.patch.object(similarity, "_BAND_ROWS", band_rows):
+        dist = build_distributions(g)
+    auto, cross = naive_distributions(g)
+    assert dist.auto_samples == pytest.approx(auto, abs=1e-12)
+    assert dist.cross_samples == pytest.approx(cross, abs=1e-12)
+
+
+def test_build_memory_is_a_fraction_of_the_gram(make_gallery):
+    g = make_gallery(num_identities=500, per_identity=4, dim=8, seed=2)
+    build_distributions(g)  # warm-up: lazy imports and caches
+    tracemalloc.start()
+    try:
+        build_distributions(g)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    gram_bytes = 2000 * 2000 * 8
+    assert peak < gram_bytes / 3
 
 
 class TestSimilarityDistributionsEquality:
