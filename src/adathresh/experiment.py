@@ -334,7 +334,6 @@ def simulate_stream(
         queries = _query_stream(queries)
     events = []
     novel_count = 0
-    taken = None  # the gallery's labels, gathered when a novel label is first needed
     for q in queries:
         result = gallery.match_query(q.vector, threshold)
         if result.matched:
@@ -343,11 +342,9 @@ def simulate_stream(
                 gallery.register(result.identity, q.vector)
                 action = "appended"
         elif auto_register:
-            if taken is None:
-                taken = set(gallery.identities)
             novel_count += 1
             label = f"novel-{novel_count:04d}"
-            while label in taken:
+            while gallery.embeddings_of(label):
                 novel_count += 1
                 label = f"novel-{novel_count:04d}"
             gallery.register(label, q.vector)

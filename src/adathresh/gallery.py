@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import operator
 import threading
 from dataclasses import dataclass
@@ -101,6 +102,7 @@ class Gallery:
         return version, view, [e.identity for e in rows[:n]]
 
     def _validate_vector(self, vector) -> np.ndarray:
+        """``vector`` as checked float64; may be the caller's own array."""
         v = np.asarray(vector, dtype=np.float64)
         if v.ndim != 1 or v.shape[0] != self.dimension:
             raise DimensionMismatchError(
@@ -110,7 +112,7 @@ class Gallery:
             raise InputContractError("vector contains non-finite values")
         if not v.any():
             raise ZeroVectorError("zero vectors cannot be stored")
-        return v.copy()
+        return v
 
     def _fresh_id(self) -> str:
         while True:
@@ -127,7 +129,7 @@ class Gallery:
         """
         if not isinstance(identity, str) or not identity:
             raise InputContractError("identity label must be a non-empty string")
-        v = self._validate_vector(vector)
+        v = self._validate_vector(vector).copy()  # the caller may change its array
         row = unit_vector(v)
         with self._lock:
             if instance_id is None:
@@ -182,21 +184,29 @@ class Gallery:
     def match_query(self, query_vector, threshold: float) -> MatchResult:
         """Best cosine match across the whole gallery.
 
-        Matches when the best similarity reaches ``threshold``; ties between
-        identities go to the lexicographically smallest label. ``einsum``
-        rather than BLAS gemv computes the similarities: it gives a row the
-        same bits wherever the row sits, so a vector stored under two labels
-        ties exactly.
+        Matches when the best similarity reaches ``threshold`` (a NaN threshold
+        is rejected: it would never match); ties between identities go to the
+        lexicographically smallest label. ``np.vecdot`` computes the
+        similarities with one BLAS dot call per row. That gives a row the same
+        bits wherever it sits, so a vector stored under two labels ties
+        exactly; BLAS gemv (``unit @ q``) would not, since its bits depend on
+        the row's position, and ``einsum`` is about twice as slow. Only the
+        maximum is clipped to [-1, 1]; the tie set is every row whose clipped
+        score equals it, as if each score had been clipped.
         """
+        if math.isnan(threshold):
+            raise InputContractError("threshold must not be NaN")
         with self._lock:
             unit, rows = self._unit, self._rows
             n = len(rows)
         if n == 0:
             raise EmptyGalleryError("cannot match against an empty gallery")
         qn = unit_vector(self._validate_vector(query_vector))
-        sims = np.clip(np.einsum("ij,j->i", unit[:n], qn), -1.0, 1.0)
-        best_sim = float(sims.max())
-        best_label = min(rows[k].identity for k in np.flatnonzero(sims == best_sim))
+        sims = np.vecdot(unit[:n], qn)
+        best_sim = min(1.0, max(-1.0, float(sims.max())))
+        # at -1 every score clips to -1, even one just below it, so all rows tie
+        ties = np.flatnonzero(sims >= best_sim) if best_sim > -1.0 else range(n)
+        best_label = min(rows[k].identity for k in ties)
         matched = best_sim >= threshold
         return MatchResult(
             matched=matched,

@@ -105,6 +105,9 @@ def rates_at(
         raise InputContractError("epsilon must be finite and >= 0")
     if tpr_denominator not in ("standard", "paper"):
         raise InputContractError(f"unknown tpr_denominator {tpr_denominator!r}")
+    if np.isnan(thresholds).any():
+        # every comparison with NaN is false, so it would silently count nothing
+        raise InputContractError("thresholds must not be NaN")
     tp, fp = (c.astype(np.float64) for c in count_at_least(dist, thresholds))
     fn = dist.auto_samples.size - tp
     tn = dist.cross_samples.size - fp

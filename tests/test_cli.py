@@ -217,6 +217,15 @@ class TestSimulate:
             "fixed@0.7",
         }
 
+    def test_nan_fixed_threshold_exit_2(self, synth_file, tmp_path, capsys):
+        out = tmp_path / "rows.csv"
+        code = main(
+            ["simulate", "--embeddings", str(synth_file), "--fixed", "nan,0.5", "--out", str(out)]
+        )
+        assert code == EXIT_CONTRACT
+        assert "NaN" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_shuffle_order(self, synth_file, tmp_path):
         out = tmp_path / "rows.csv"
         code = main(
@@ -342,3 +351,21 @@ class TestSimulateStream:
         assert events[0]["action"] == "registered"
         after = Gallery.load(saved)
         assert "novel-0001" in after.identities
+
+    def test_nan_threshold_exit_2(self, synth_file, tmp_path, capsys):
+        queries = tmp_path / "queries.csv"
+        Gallery.load(synth_file).save(queries)
+        saved = tmp_path / "after.csv"
+        code = main(
+            [
+                "simulate-stream",
+                "--gallery", str(synth_file),
+                "--queries", str(queries),
+                "--threshold", "nan",
+                "--auto-register",
+                "--save-gallery", str(saved),
+            ]
+        )
+        assert code == EXIT_CONTRACT
+        assert "NaN" in capsys.readouterr().err
+        assert not saved.exists()

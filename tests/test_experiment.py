@@ -406,6 +406,24 @@ class TestSimulateStream:
         simulate_stream(g, queries[:1], threshold=1.1, auto_register=True)
         assert g.identities[-3:] == ["novel-0001", "novel-0003", "novel-0004"]
 
+    def test_novel_labels_skip_taken_ones_one_query_per_call(self):
+        # the way an online caller replays a stream: one query per call
+        g = self.make_gallery()
+        g.register("novel-0002", [1, 1, 0])
+        q = Gallery(3)
+        q.register("x", [0, 0, 1])
+        q.register("y", [0, 0, -1])
+        for query in q.embeddings_of("x") + q.embeddings_of("y") + q.embeddings_of("x"):
+            simulate_stream(g, [query], threshold=1.1, auto_register=True)
+        assert g.identities[-3:] == ["novel-0001", "novel-0003", "novel-0004"]
+
+    def test_nan_threshold_stores_nothing(self):
+        g = self.make_gallery()
+        before = g.change_counter
+        with pytest.raises(InputContractError):
+            simulate_stream(g, g.embeddings_of("a"), float("nan"), auto_register=True)
+        assert g.change_counter == before
+
     def test_append_matched_policy(self):
         g = self.make_gallery()
         queries = [g.embeddings_of("a")[0]]

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from adathresh import (
@@ -18,6 +18,7 @@ from adathresh import (
     InputContractError,
     ZeroVectorError,
 )
+from adathresh.similarity import unit_vector
 from conftest import naive_cosine
 
 
@@ -43,6 +44,14 @@ class TestRegister:
         i2 = g.register("a", [1, 0, 0])
         assert i1 != i2
         assert len(g.embeddings_of("a")) == 2
+
+    def test_stores_a_copy_of_the_callers_array(self):
+        g = Gallery(3)
+        v = np.array([1.0, 0.0, 0.0])
+        g.register("a", v)
+        v[:] = [0.0, 1.0, 0.0]
+        assert g.embeddings_of("a")[0].vector.tolist() == [1.0, 0.0, 0.0]
+        assert g.match_query([1.0, 0.0, 0.0], 0.5).best_similarity == 1.0
 
     def test_dimension_mismatch(self):
         g = Gallery(3)
@@ -236,6 +245,17 @@ class TestMatchQuery:
         with pytest.raises(DimensionMismatchError):
             g.match_query([1, 0], 0.5)
 
+    def test_nan_threshold_rejected(self):
+        g = two_identity_gallery()
+        with pytest.raises(InputContractError):
+            g.match_query([1, 0, 0], float("nan"))
+
+    def test_query_array_is_not_modified(self):
+        g = two_identity_gallery()
+        q = np.array([3.0, 4.0, 0.0])
+        g.match_query(q, 0.5)
+        assert q.tolist() == [3.0, 4.0, 0.0]
+
 
 small_vectors = st.lists(st.integers(-3, 3), min_size=3, max_size=3).filter(any)
 matcher_ops = st.lists(
@@ -285,6 +305,86 @@ class TestMatcherProperty:
                 if len({v for _, v in near}) == 1:
                     # one vector, maybe under several labels: an exact tie
                     assert r.identity == min(label for label, _ in near)
+
+
+# rows share a few directions, each scaled by 1-5: the same vector under
+# several labels, and the same direction with other unit bits, so that raw
+# dots land on, just above and (for a negated query) just below +-1
+shared_rows = st.tuples(
+    st.lists(small_vectors, min_size=1, max_size=3),
+    st.lists(
+        st.tuples(st.sampled_from("abcd"), st.integers(0, 2), st.integers(1, 5)),
+        min_size=1,
+        max_size=12,
+    ),
+)
+queries = st.one_of(
+    st.tuples(st.integers(0, 11), st.sampled_from([1, -1]), st.integers(1, 5)),
+    small_vectors,
+)
+
+
+class TestScoreKernel:
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(2, 512), st.integers(1, 900), st.integers(1, 900), st.data())
+    def test_a_row_scores_the_same_bits_at_any_index(self, dim, size_a, size_b, data):
+        # one stored row, at a drawn index in two galleries of different
+        # sizes, among rows that all point away from the query: its score is
+        # the best, and must be the same bits in both and in a misaligned copy
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        query = rng.standard_normal(dim)
+        row = query + 0.5 * rng.standard_normal(dim)
+        if row @ query < 0:
+            row = -row
+        qn = unit_vector(query)
+        best = []
+        for size in (size_a, size_b):
+            at = data.draw(st.integers(0, size - 1))
+            others = rng.standard_normal((size - 1, dim))
+            others[others @ query > 0] *= -1
+            g = Gallery(dim)
+            for v in others[:at]:
+                g.register("other", v)
+            g.register("row", row)
+            for v in others[at:]:
+                g.register("other", v)
+            r = g.match_query(query, -1.0)
+            assert r.identity == "row"
+            best.append(r.best_similarity)
+            _, unit, _ = g.unit_rows()
+            buffer = np.empty(unit.size + 1)
+            misaligned = buffer[1:].reshape(unit.shape)
+            misaligned[:] = unit
+            assert np.vecdot(misaligned, qn)[at] == r.best_similarity
+        assert best[0] == best[1]
+
+    @settings(max_examples=300, deadline=None)
+    @given(shared_rows, queries)
+    # b's raw dot is 1 + 2**-52 and a's is 1.0: both clip to 1, so a wins
+    @example(([[3, 3, 0]], [("b", 0, 1), ("a", 0, 5)]), (0, 1, 1))
+    # antipodal: b's raw dot is -1.0 and a's is just below it: all rows tie at
+    # -1, so a wins
+    @example(([[0, 1, 1]], [("b", 0, 1), ("a", 0, 3)]), (1, -1, 1))
+    def test_match_equals_clipping_every_score(self, rows, query):
+        bases, entries = rows
+        g = Gallery(3)
+        stored = []
+        for label, base, scale in entries:
+            v = scale * np.array(bases[base % len(bases)], dtype=np.float64)
+            g.register(label, v)
+            stored.append(v)
+        if isinstance(query, tuple):
+            pick, sign, scale = query
+            query = sign * scale * stored[pick % len(stored)]
+        # the reference clips every raw score, then takes the smallest label
+        # among the rows equal to the maximum
+        _, unit, labels = g.unit_rows()
+        raw = np.vecdot(unit, unit_vector(np.asarray(query, dtype=np.float64)))
+        scores = np.clip(raw, -1.0, 1.0)
+        best = float(scores.max())
+        expected = min(label for label, s in zip(labels, scores) if s == best)
+        r = g.match_query(query, -1.0)
+        assert (r.best_similarity, r.identity) == (best, expected)
 
 
 class TestPersistence:

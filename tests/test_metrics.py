@@ -131,6 +131,12 @@ class TestMetricsAt:
         with pytest.raises(InputContractError):
             roc_sweep(THREE_V_THREE, 11, epsilon)
 
+    def test_nan_threshold_rejected(self):
+        with pytest.raises(InputContractError):
+            rates_at(THREE_V_THREE, np.array([0.5, np.nan]))
+        with pytest.raises(InputContractError):
+            metrics_at(THREE_V_THREE, float("nan"))
+
 
 class TestRocSweep:
     def test_perfect_separation_auc(self):
