@@ -49,6 +49,8 @@ def _build_config(args) -> AdaptConfig:
                 file_values = json.load(fh)
         except (OSError, json.JSONDecodeError) as exc:
             raise InputContractError(f"cannot read config file: {exc}") from exc
+        if not isinstance(file_values, dict):
+            raise InputContractError("config file must hold a JSON object")
         known = {f.name for f in fields(AdaptConfig)}
         unknown = set(file_values) - known
         if unknown:
@@ -88,7 +90,10 @@ def _cmd_adapt(args) -> int:
 
 def _cmd_simulate(args) -> int:
     config = _build_config(args)
-    fixed = [float(v) for v in args.fixed.split(",") if v.strip()] if args.fixed else []
+    try:
+        fixed = [float(v) for v in args.fixed.split(",") if v.strip()] if args.fixed else []
+    except ValueError as exc:
+        raise InputContractError(f"--fixed: {exc}") from exc
     rows = run_incremental(
         args.embeddings,
         config,

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import logging
 import math
+import operator
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Literal
 
@@ -21,6 +22,10 @@ if TYPE_CHECKING:
 logger = logging.getLogger(__name__)
 
 Provenance = Literal["intersection", "mean_fallback", "optimized", "retained_old"]
+
+# Candidates scored per rates_at call in the f1 sweep: its working memory is
+# about fifteen arrays of this length, whatever the sample count.
+_SWEEP_CHUNK = 4096
 
 
 @dataclass(frozen=True)
@@ -47,6 +52,12 @@ class AdaptConfig:
             raise InputContractError("tau must be in (0, 1]")
         if not 0.0 < self.epsilon < math.inf:
             raise InputContractError("epsilon must be finite and > 0")
+        try:
+            object.__setattr__(
+                self, "recompute_every_n", operator.index(self.recompute_every_n)
+            )
+        except TypeError as exc:
+            raise InputContractError("recompute_every_n must be an integer") from exc
         if self.recompute_every_n < 1:
             raise InputContractError("recompute_every_n must be >= 1")
         if self.objective not in ("f1", "tpr_fpr_gap"):
@@ -111,14 +122,29 @@ def _scan_best(
     """Exact maximizer of a piecewise-constant score.
 
     Every plateau intersecting [lo, hi] gets one candidate (the bounds plus
-    each in-bound sample value), so the scan is exhaustive. Ties go to the
-    lowest plateau; the winner is reported at its plateau midpoint.
+    each in-bound sample value), so the scan is exhaustive. The candidates
+    are scored ``_SWEEP_CHUNK`` at a time, with ``lo`` in the first chunk and
+    ``hi`` in the last, so the working memory is one chunk's rates on top of
+    ``values``. Ties go to the lowest plateau; the winner is reported at its
+    plateau midpoint.
     """
-    inner = values[(values > lo) & (values < hi)]
-    candidates = np.concatenate([[lo], inner, [hi]])
-    scores = score_fn(candidates)
-    i = int(np.argmax(scores))
-    x, score = float(candidates[i]), float(scores[i])
+    # values is ascending and distinct: the in-bound ones are a contiguous view
+    inner = values[np.searchsorted(values, lo, "right") : np.searchsorted(values, hi, "left")]
+    chunks = max(1, -(-inner.size // _SWEEP_CHUNK))
+    x, score = lo, -math.inf
+    for k in range(chunks):
+        candidates = np.concatenate(
+            (
+                [lo] if k == 0 else [],
+                inner[k * _SWEEP_CHUNK : (k + 1) * _SWEEP_CHUNK],
+                [hi] if k == chunks - 1 else [],
+            )
+        )
+        scores = score_fn(candidates)
+        i = int(np.argmax(scores))
+        # strictly greater: an equal score in a later chunk lies on a higher plateau
+        if scores[i] > score:
+            x, score = float(candidates[i]), float(scores[i])
     mid = _plateau_midpoint(values, x, lo, hi)
     mid_score = float(score_fn(np.array([mid]))[0])
     if mid_score >= score:

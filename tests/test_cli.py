@@ -111,6 +111,14 @@ class TestAdapt:
         code = main(["adapt", "--gallery", str(synth_file), "--config", str(cfg)])
         assert code == EXIT_CONTRACT
 
+    @pytest.mark.parametrize("payload", [[1, 2], []])
+    def test_non_object_config_exit_2(self, synth_file, tmp_path, capsys, payload):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(payload))
+        code = main(["adapt", "--gallery", str(synth_file), "--config", str(cfg)])
+        assert code == EXIT_CONTRACT
+        assert "JSON object" in capsys.readouterr().err
+
     def test_removed_config_key_exit_2(self, synth_file, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"tau": 0.85, "refine_iters": 64}))
@@ -224,6 +232,15 @@ class TestSimulate:
         )
         assert code == EXIT_CONTRACT
         assert "NaN" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_unparsable_fixed_threshold_exit_2(self, synth_file, tmp_path, capsys):
+        out = tmp_path / "rows.csv"
+        code = main(
+            ["simulate", "--embeddings", str(synth_file), "--fixed", "abc", "--out", str(out)]
+        )
+        assert code == EXIT_CONTRACT
+        assert capsys.readouterr().err.startswith("error: --fixed")
         assert not out.exists()
 
     def test_shuffle_order(self, synth_file, tmp_path):

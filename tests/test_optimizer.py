@@ -1,6 +1,8 @@
+from unittest import mock
+
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from adathresh import (
@@ -22,9 +24,11 @@ from adathresh import (
     select_threshold,
     tpr_fpr_objective,
 )
+from adathresh import optimizer
 from adathresh.optimizer import _distinct_values
 from conftest import (
     clustered_gallery,
+    large_sweep_samples,
     naive_f1,
     naive_gap,
     plateau_candidates,
@@ -96,12 +100,10 @@ class TestOptimizeF1:
             optimize_f1(SimilarityDistributions([], [0.1]))
 
     def test_exact_above_a_hundred_thousand_distinct_values(self):
-        # a seed on which a 512-point grid with golden-section refinement
-        # misses the optimum (f1 0.56373 against 0.56530)
-        rng = np.random.default_rng(4)
-        auto = rng.uniform(0.4, 1.0, size=400)
-        cross = rng.uniform(0.0, 0.8, size=120_000)
-        lam, f1 = optimize_f1(SimilarityDistributions(auto, cross))
+        auto, cross = large_sweep_samples()
+        # a chunk size that leaves a short last chunk
+        with mock.patch.object(optimizer, "_SWEEP_CHUNK", 1000):
+            lam, f1 = optimize_f1(SimilarityDistributions(auto, cross))
         # oracle: cumulative counts over the merged distinct values, where
         # every sample lies inside (0, 1)
         values, inverse = np.unique(np.concatenate([auto, cross]), return_inverse=True)
@@ -138,8 +140,21 @@ SAMPLES = st.lists(
     objective=st.sampled_from(["f1", "tpr_fpr_gap"]),
     bound_mode=st.sampled_from(["unbounded_01", "means_bounded"]),
     tpr_denominator=st.sampled_from(["standard", "paper"]),
+    chunk=st.sampled_from([1, 2, 3]),
 )
-def test_sweep_is_exact_on_every_plateau(auto, cross, objective, bound_mode, tpr_denominator):
+# the top plateau (0.8, 1] ties (0.2, 0.6] at gap 0.5: the tie must go to the
+# lower one although hi is scored in a later chunk
+@example(
+    auto=[0.6, 0.8],
+    cross=[0.2, 1.25],
+    objective="tpr_fpr_gap",
+    bound_mode="unbounded_01",
+    tpr_denominator="standard",
+    chunk=1,
+)
+def test_sweep_is_exact_on_every_plateau(
+    auto, cross, objective, bound_mode, tpr_denominator, chunk
+):
     dist = SimilarityDistributions(auto, cross)
     # the candidates: every distinct value once, merged from the sorted sides
     assert np.array_equal(_distinct_values(dist), np.unique(np.concatenate([auto, cross])))
@@ -153,12 +168,15 @@ def test_sweep_is_exact_on_every_plateau(auto, cross, objective, bound_mode, tpr
         lo, hi = max(mean_cross, 0.0), min(mean_auto, 1.0)
         assume(mean_auto > mean_cross and hi >= lo)
     eps = config.epsilon
+    optimize = optimize_f1 if objective == "f1" else optimize_tpr_fpr_gap
+    # at most 62 candidates: one chunk at the default size, many at the patched
+    with mock.patch.object(optimizer, "_SWEEP_CHUNK", chunk):
+        lam, score = optimize(dist, config)
+    assert (lam, score) == optimize(dist, config)
     if objective == "f1":
-        lam, score = optimize_f1(dist, config)
         oracle = max(naive_f1(auto, cross, t) for t in plateau_candidates(auto, cross, lo, hi))
         assert metrics_at(dist, lam, eps, tpr_denominator).f1 == score
     else:
-        lam, score = optimize_tpr_fpr_gap(dist, config)
         oracle = max(
             naive_gap(auto, cross, t, eps, tpr_denominator)
             for t in plateau_candidates(auto, cross, lo, hi)
@@ -379,6 +397,8 @@ class TestAdaptConfig:
             {"tpr_denominator": "both"},
             {"epsilon": float("nan")},
             {"epsilon": float("inf")},
+            {"recompute_every_n": 2.5},
+            {"recompute_every_n": "3"},
         ],
     )
     def test_validation(self, kwargs):

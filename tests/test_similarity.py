@@ -14,10 +14,11 @@ from adathresh import (
     SimilarityDistributions,
     ZeroVectorError,
     build_distributions,
+    optimize_f1,
 )
 from adathresh import similarity
 from adathresh.similarity import unit_vector
-from conftest import naive_distributions
+from conftest import large_sweep_samples, naive_distributions
 
 
 class TestUnitVector:
@@ -161,6 +162,21 @@ def test_build_memory_is_a_fraction_of_the_gram(make_gallery):
         tracemalloc.stop()
     gram_bytes = 2000 * 2000 * 8
     assert peak < gram_bytes / 3
+
+
+def test_sweep_memory_is_a_few_sample_arrays():
+    # scoring every candidate in one rates_at call peaks at about 15 sample
+    # arrays; in chunks, the merge into distinct values (about 2) dominates
+    auto, cross = large_sweep_samples()
+    dist = SimilarityDistributions(auto, cross)
+    optimize_f1(dist)  # warm-up: the sorted sides are cached on dist
+    tracemalloc.start()
+    try:
+        optimize_f1(dist)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * (auto.size + cross.size) * 8
 
 
 class TestSimilarityDistributionsEquality:
