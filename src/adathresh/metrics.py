@@ -73,12 +73,12 @@ def count_at_least(
     """(tp, fp): how many auto and how many cross samples reach each threshold.
 
     A sample equal to the threshold predicts positive. Binary search over the
-    distributions' sorted copies, which is exactly equivalent to a direct scan.
+    sorted sides, which is exactly equivalent to a direct scan.
     """
     _require_samples(dist)
-    auto_sorted, cross_sorted = dist.sorted_samples
-    tp = auto_sorted.size - np.searchsorted(auto_sorted, thresholds, side="left")
-    fp = cross_sorted.size - np.searchsorted(cross_sorted, thresholds, side="left")
+    auto, cross = dist.auto_samples, dist.cross_samples
+    tp = auto.size - np.searchsorted(auto, thresholds, side="left")
+    fp = cross.size - np.searchsorted(cross, thresholds, side="left")
     return tp, fp
 
 
@@ -171,12 +171,10 @@ def roc_auc(dist: SimilarityDistributions) -> float:
     mean is that cross sample's share of the area, ties counted as one half.
     """
     _require_samples(dist)
-    auto_sorted = dist.sorted_samples[0]
-    n_auto = auto_sorted.size
-    cross = dist.cross_samples
-    at_least = n_auto - np.searchsorted(auto_sorted, cross, side="left")
-    above = n_auto - np.searchsorted(auto_sorted, cross, side="right")
-    return float((at_least.sum() + above.sum()) / (2 * n_auto * cross.size))
+    auto, cross = dist.auto_samples, dist.cross_samples
+    at_least = auto.size - np.searchsorted(auto, cross, side="left")
+    above = auto.size - np.searchsorted(auto, cross, side="right")
+    return float((at_least.sum() + above.sum()) / (2 * auto.size * cross.size))
 
 
 def roc_sweep(
@@ -194,9 +192,9 @@ def roc_sweep(
     _require_samples(dist)
     if num_points < 2:
         raise InputContractError("num_points must be >= 2")
-    samples = np.concatenate([dist.auto_samples, dist.cross_samples])
-    lo = float(samples.min()) - _SWEEP_MARGIN
-    hi = float(samples.max()) + _SWEEP_MARGIN
+    auto, cross = dist.auto_samples, dist.cross_samples
+    lo = float(min(auto[0], cross[0])) - _SWEEP_MARGIN
+    hi = float(max(auto[-1], cross[-1])) + _SWEEP_MARGIN
     full = np.linspace(hi, lo, num_points + 2)
     grid = full[1:-1]
     r = rates_at(dist, grid, epsilon)

@@ -48,6 +48,9 @@ class AdaptConfig:
     grid_points = 512
 
     def __post_init__(self):
+        for name in ("tau", "epsilon", "recompute_every_n"):
+            if isinstance(getattr(self, name), (bool, np.bool_)):
+                raise InputContractError(f"{name} must be a number, not a bool")
         if not 0.0 < self.tau <= 1.0:
             raise InputContractError("tau must be in (0, 1]")
         if not 0.0 < self.epsilon < math.inf:
@@ -157,7 +160,7 @@ def _distinct_values(dist: SimilarityDistributions) -> np.ndarray:
     """The distinct values of both sample sides, ascending: what
     ``np.unique`` gives for their concatenation. Both sides are already
     sorted, so a stable sort merges the two runs in linear time."""
-    merged = np.sort(np.concatenate(dist.sorted_samples), kind="stable")
+    merged = np.sort(np.concatenate((dist.auto_samples, dist.cross_samples)), kind="stable")
     return merged[np.concatenate(([True], merged[1:] != merged[:-1]))]
 
 
@@ -219,7 +222,10 @@ def select_threshold(
 
     The candidate wins when its f1 reaches the target ``tau``, or at least
     matches the incumbent's f1; otherwise the incumbent is kept. Either way
-    the incumbent threshold becomes ``lambda_old`` in the new state.
+    the incumbent threshold becomes ``lambda_old`` in the new state. Under
+    the f1 objective the candidate is the exact optimum over an interval that
+    contains the intersection incumbent, so it always wins and the rule only
+    records ``lambda_old``/``f1_old``; it can retain only under ``tpr_fpr_gap``.
     """
     if not 0.0 <= lambda_candidate <= 1.0:
         raise InputContractError("candidate threshold must lie in [0, 1]")

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import groupby
 from typing import TYPE_CHECKING
 
@@ -44,8 +43,9 @@ def unit_vector(v: np.ndarray) -> np.ndarray:
 class SimilarityDistributions:
     """Auto (same-identity) and cross (different-identity) best-similarity samples.
 
-    Two distributions are equal when their gallery versions are equal and
-    both sample arrays hold the same values in the same order.
+    Each side is held once, sorted and read-only: sample order carries no
+    meaning. Two distributions are equal when their gallery versions are
+    equal and both sides hold the same values.
     """
 
     auto_samples: np.ndarray
@@ -53,23 +53,18 @@ class SimilarityDistributions:
     gallery_version: int = 0
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "auto_samples", np.asarray(self.auto_samples, dtype=np.float64)
-        )
-        object.__setattr__(
-            self, "cross_samples", np.asarray(self.cross_samples, dtype=np.float64)
-        )
+        for name in ("auto_samples", "cross_samples"):
+            side = np.asarray(getattr(self, name), dtype=np.float64)
+            if side.ndim != 1 or not np.isfinite(side).all():
+                raise InputContractError(f"{name} must be a flat array of finite values")
+            side = np.sort(side)
+            side.flags.writeable = False
+            object.__setattr__(self, name, side)
 
     @property
     def estimable(self) -> bool:
         """True when both sides have enough samples (>= 2) to fit a Gaussian."""
         return self.auto_samples.size >= 2 and self.cross_samples.size >= 2
-
-    @cached_property
-    def sorted_samples(self) -> tuple[np.ndarray, np.ndarray]:
-        """Ascending copies of (auto, cross), sorted once and shared by every
-        threshold count; the public sample arrays keep their order."""
-        return np.sort(self.auto_samples), np.sort(self.cross_samples)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, SimilarityDistributions):
@@ -90,7 +85,7 @@ def _pairs_from_identities(
     unit: np.ndarray, spans: list[tuple[int, int]]
 ) -> tuple[np.ndarray, np.ndarray]:
     """Best similarity within each identity holding two or more rows (auto)
-    and between each unordered pair of identities (cross), in span order.
+    and between each unordered pair of identities (cross).
 
     ``unit`` holds unit rows grouped by identity; ``spans`` gives each
     identity's ``(lo, hi)`` row range. The similarities are computed in row
@@ -130,11 +125,10 @@ def _pairs_from_identities(
 def build_distributions(gallery: "Gallery") -> SimilarityDistributions:
     """Collect the per-pair best similarities into auto and cross sample sets.
 
-    Pairs come in sorted-label order, so repeated calls on the same gallery
-    version give element-wise identical samples. Identities with a single
-    embedding contribute no auto sample. An empty auto side is returned
-    as-is (and logged); callers that need Gaussian estimates should check
-    ``estimable`` first.
+    Each side comes back sorted, so its order says nothing about which pair
+    gave a sample. Identities with a single embedding contribute no auto
+    sample. An empty auto side is returned as-is (and logged); callers that
+    need Gaussian estimates should check ``estimable`` first.
     """
     version, rows, labels = gallery.unit_rows()
     # a stable sort keeps each identity's rows in registration order

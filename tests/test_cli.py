@@ -111,6 +111,13 @@ class TestAdapt:
         code = main(["adapt", "--gallery", str(synth_file), "--config", str(cfg)])
         assert code == EXIT_CONTRACT
 
+    def test_bool_config_values_exit_2(self, synth_file, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"epsilon": True, "tau": True}))
+        code = main(["adapt", "--gallery", str(synth_file), "--config", str(cfg)])
+        assert code == EXIT_CONTRACT
+        assert "bool" in capsys.readouterr().err
+
     @pytest.mark.parametrize("payload", [[1, 2], []])
     def test_non_object_config_exit_2(self, synth_file, tmp_path, capsys, payload):
         cfg = tmp_path / "cfg.json"

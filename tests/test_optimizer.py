@@ -21,6 +21,7 @@ from adathresh import (
     metrics_at,
     optimize_f1,
     optimize_tpr_fpr_gap,
+    roc_auc,
     select_threshold,
     tpr_fpr_objective,
 )
@@ -184,6 +185,69 @@ def test_sweep_is_exact_on_every_plateau(
         assert tpr_fpr_objective(dist, lam, eps, tpr_denominator) == score
     assert score == oracle
     assert lo <= lam <= hi
+
+
+def _outcome(fn, dist):
+    """What ``fn(dist)`` returns, or the type of the contract error it raises."""
+    try:
+        return fn(dist)
+    except (DegenerateDataError, InputContractError) as exc:
+        return type(exc)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    auto=st.lists(st.floats(-0.2, 1.0), min_size=1, max_size=60),
+    cross=st.lists(st.floats(-0.5, 0.9), min_size=1, max_size=60),
+    data=st.data(),
+)
+def test_results_depend_only_on_sample_values(auto, cross, data):
+    # a permutation of either side changes no result, not even the last bit
+    # of the Gaussian fit behind an intersection threshold
+    dist = SimilarityDistributions(auto, cross)
+    permuted = SimilarityDistributions(
+        data.draw(st.permutations(auto)), data.draw(st.permutations(cross))
+    )
+    checks = [optimize_f1, optimize_tpr_fpr_gap, roc_auc]
+    for objective in ("f1", "tpr_fpr_gap"):
+        for tau in (0.8, 1.0):
+            config = AdaptConfig(tau=tau, objective=objective)
+            checks.append(lambda d, c=config: optimizer._adapt_distributions(d, c))
+    for fn in checks:
+        assert _outcome(fn, dist) == _outcome(fn, permuted)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    num_identities=st.integers(3, 8),
+    per_identity=st.integers(2, 4),
+    within=st.floats(0.1, 0.8),
+    seed=st.integers(0, 2**16),
+    tau=st.floats(0.5, 1.0),
+    bound_mode=st.sampled_from(["unbounded_01", "means_bounded"]),
+)
+def test_f1_adaptation_never_retains(
+    num_identities, per_identity, within, seed, tau, bound_mode
+):
+    # under f1 the candidate is the exact optimum over an interval that
+    # contains the intersection incumbent, so it can never lose to it
+    g = clustered_gallery(num_identities, per_identity, dim=8, within=within, seed=seed)
+    config = AdaptConfig(tau=tau, bound_mode=bound_mode)
+    try:
+        state = adapt(g, None, config)
+    except InputContractError:
+        assume(False)  # auto mean not above cross mean: nothing to adapt
+    assume(state is not None)
+    assert state.provenance != "retained_old"
+    if state.provenance == "optimized":
+        dist = build_distributions(g)
+        lo, hi = 0.0, 1.0
+        if bound_mode == "means_bounded":
+            lo = max(float(np.mean(dist.cross_samples)), 0.0)
+            hi = min(float(np.mean(dist.auto_samples)), 1.0)
+        assert state.f1_current == plateau_oracle_max(
+            dist.auto_samples, dist.cross_samples, lo, hi
+        )
 
 
 class TestTprFprObjective:
@@ -399,6 +463,9 @@ class TestAdaptConfig:
             {"epsilon": float("inf")},
             {"recompute_every_n": 2.5},
             {"recompute_every_n": "3"},
+            {"tau": True},
+            {"epsilon": True},
+            {"recompute_every_n": True},
         ],
     )
     def test_validation(self, kwargs):

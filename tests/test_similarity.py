@@ -85,8 +85,8 @@ class TestBuildDistributions:
         g = make_gallery(num_identities=4, per_identity=3, within=0.5, seed=33)
         dist = build_distributions(g)
         auto, cross = naive_distributions(g)
-        assert dist.auto_samples == pytest.approx(auto, abs=1e-12)
-        assert dist.cross_samples == pytest.approx(cross, abs=1e-12)
+        assert dist.auto_samples == pytest.approx(sorted(auto), abs=1e-12)
+        assert dist.cross_samples == pytest.approx(sorted(cross), abs=1e-12)
 
     def test_reproducible(self, make_gallery):
         g = make_gallery(seed=5)
@@ -147,8 +147,8 @@ def test_banded_build_matches_brute_force(band_rows, sizes, seed):
     with mock.patch.object(similarity, "_BAND_ROWS", band_rows):
         dist = build_distributions(g)
     auto, cross = naive_distributions(g)
-    assert dist.auto_samples == pytest.approx(auto, abs=1e-12)
-    assert dist.cross_samples == pytest.approx(cross, abs=1e-12)
+    assert dist.auto_samples == pytest.approx(sorted(auto), abs=1e-12)
+    assert dist.cross_samples == pytest.approx(sorted(cross), abs=1e-12)
 
 
 def test_build_memory_is_a_fraction_of_the_gram(make_gallery):
@@ -169,7 +169,7 @@ def test_sweep_memory_is_a_few_sample_arrays():
     # arrays; in chunks, the merge into distinct values (about 2) dominates
     auto, cross = large_sweep_samples()
     dist = SimilarityDistributions(auto, cross)
-    optimize_f1(dist)  # warm-up: the sorted sides are cached on dist
+    optimize_f1(dist)  # warm-up: lazy imports and caches
     tracemalloc.start()
     try:
         optimize_f1(dist)
@@ -185,7 +185,7 @@ class TestSimilarityDistributionsEquality:
         same = SimilarityDistributions(np.array([0.3, 0.1]), [0.5, 0.2], 4)
         assert (d == same) is True
         assert (d != same) is False
-        assert d != SimilarityDistributions([0.1, 0.3], [0.5, 0.2], 4)  # order counts
+        assert d == SimilarityDistributions([0.1, 0.3], [0.2, 0.5], 4)  # order does not
         assert d != SimilarityDistributions([0.3, 0.1], [0.5, 0.2, 0.0], 4)
         assert d != SimilarityDistributions([0.3, 0.1], [0.5, 0.2], 5)
         assert d != (d.auto_samples, d.cross_samples, 4)
@@ -193,3 +193,26 @@ class TestSimilarityDistributionsEquality:
     def test_rebuild_equals(self, make_gallery):
         g = make_gallery(seed=6)
         assert build_distributions(g) == build_distributions(g)
+
+    def test_sides_held_sorted_and_read_only(self):
+        auto = np.array([0.3, 0.1, 0.2])
+        d = SimilarityDistributions(auto, [0.5, -0.2])
+        assert d.auto_samples.tolist() == [0.1, 0.2, 0.3]
+        assert d.cross_samples.tolist() == [-0.2, 0.5]
+        assert auto.tolist() == [0.3, 0.1, 0.2]  # the caller's array is not touched
+        with pytest.raises(ValueError):
+            d.auto_samples[0] = 0.9
+
+    @pytest.mark.parametrize(
+        "auto, cross",
+        [
+            ([0.9, math.nan, 0.8], [0.1, 0.2, 0.3]),
+            ([0.9, 0.8], [0.1, math.inf]),
+            ([0.9, -math.inf], [0.1, 0.2]),
+            ([[0.9, 0.8], [0.7, 0.6]], [0.1, 0.2]),
+            ([0.9, 0.8], 0.1),
+        ],
+    )
+    def test_rejects_non_finite_or_non_flat_samples(self, auto, cross):
+        with pytest.raises(InputContractError):
+            SimilarityDistributions(auto, cross)
