@@ -4,6 +4,9 @@ from __future__ import annotations
 
 import csv
 import json
+import math
+import numbers
+import operator
 import random
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
@@ -82,12 +85,26 @@ class SynthSpec:
     rng_seed: int
 
     def __post_init__(self):
+        for name in ("num_identities", "embeddings_per_identity", "dimension", "rng_seed"):
+            value = getattr(self, name)
+            if isinstance(value, (bool, np.bool_)):
+                raise InputContractError(f"{name} must be an integer, not a bool")
+            try:
+                object.__setattr__(self, name, operator.index(value))
+            except TypeError as exc:
+                raise InputContractError(f"{name} must be an integer") from exc
         if self.num_identities < 1 or self.embeddings_per_identity < 1:
             raise InputContractError("identity and embedding counts must be positive")
         if self.dimension < 2:
             raise InputContractError("dimension must be >= 2")
-        if self.within_spread <= 0.0 or self.between_spread <= 0.0:
-            raise InputContractError("spreads must be positive")
+        if self.rng_seed < 0:
+            raise InputContractError("rng_seed must be >= 0")
+        for name in ("within_spread", "between_spread"):
+            value = getattr(self, name)
+            if isinstance(value, (bool, np.bool_)) or not isinstance(value, numbers.Real):
+                raise InputContractError(f"{name} must be a number")
+            if not 0.0 < value < math.inf:
+                raise InputContractError(f"{name} must be finite and > 0")
 
 
 @dataclass(frozen=True)
@@ -189,13 +206,15 @@ def generate_synthetic(spec: SynthSpec, path=None) -> Gallery:
     """
     rng = np.random.default_rng(spec.rng_seed)
     gallery = Gallery(spec.dimension)
+    k = spec.embeddings_per_identity
     for i in range(spec.num_identities):
-        label = f"id{i:04d}"
         center = rng.standard_normal(spec.dimension)
         center = center / np.linalg.norm(center) * spec.between_spread
-        for _ in range(spec.embeddings_per_identity):
-            v = center + spec.within_spread * rng.standard_normal(spec.dimension)
-            gallery.register(label, v / np.linalg.norm(v))
+        # the k draws of one (k, d) call are the k draws of k (d,) calls
+        v = center + spec.within_spread * rng.standard_normal((k, spec.dimension))
+        # np.linalg.norm of one row is the BLAS dot that vecdot takes per row
+        v = v / np.sqrt(np.vecdot(v, v))[:, None]
+        gallery._register_rows([f"id{i:04d}"] * k, None, v)
     if path is not None:
         gallery.save(path)
     return gallery

@@ -19,13 +19,30 @@ from .errors import (
     InputContractError,
     ZeroVectorError,
 )
-from .similarity import unit_vector
+from .similarity import _TINY, unit_vector
 
 # 17 significant digits round-trips any float64 exactly through decimal text.
 FLOAT_FORMAT = ".17g"
 
 # the counters a saved gallery carries, in the order they are written
 _COUNTERS = ("change_counter", "registrations_since_adapt")
+
+# rows a loader parses into one float64 buffer before registering them; the
+# parsed floats of a whole file are never held at once
+_LOAD_CHUNK = 256
+
+
+def _is_label(identity) -> bool:
+    return isinstance(identity, str) and identity != ""
+
+
+class _Echo:
+    """A file whose ``write`` returns the text, so that a ``csv.writer`` on it
+    returns each row it formats."""
+
+    @staticmethod
+    def write(text: str) -> str:
+        return text
 
 
 @dataclass(frozen=True)
@@ -53,7 +70,7 @@ class Gallery:
 
     Beside the raw embeddings (which ``save`` and ``snapshot`` hand out) the
     gallery keeps one contiguous matrix of their unit rows in registration
-    order, grown by doubling: row ``k`` is ``unit_vector`` of
+    order, grown at least twofold when full: row ``k`` is ``unit_vector`` of
     ``_rows[k].vector``. Writers never touch what a reader took under the
     lock: a registration writes past the ``len(_rows)`` rows it saw, and
     growth and removal build a new matrix and a new list. So a reader that
@@ -114,6 +131,12 @@ class Gallery:
             raise ZeroVectorError("zero vectors cannot be stored")
         return v
 
+    def _check_row(self, identity, vector) -> None:
+        """Raise the error ``register`` gives this row before its id is read."""
+        if not _is_label(identity):
+            raise InputContractError("identity label must be a non-empty string")
+        self._validate_vector(vector)
+
     def _fresh_id(self) -> str:
         while True:
             self._id_counter += 1
@@ -127,28 +150,74 @@ class Gallery:
         The identity is created on first use. Explicit instance ids (used by
         the file loader) must be unique across the gallery.
         """
-        if not isinstance(identity, str) or not identity:
+        # the label is checked before the vector is read, as it always was
+        if not _is_label(identity):
             raise InputContractError("identity label must be a non-empty string")
-        v = self._validate_vector(vector).copy()  # the caller may change its array
-        row = unit_vector(v)
+        v = np.asarray(vector, dtype=np.float64)
+        ids = None if instance_id is None else [instance_id]
+        return self._register_rows([identity], ids, v[None])[0]
+
+    def _register_rows(self, labels: list, ids: list | None, block: np.ndarray) -> list[str]:
+        """Store row ``k`` of the float64 ``block`` under ``labels[k]`` and
+        ``ids[k]`` (fresh ids when ``ids`` is None); returns the instance ids.
+
+        Each row is checked as :meth:`register` checks one, and an id must
+        also differ from the ids of the rows before it. The rows before the
+        first bad one are stored and then its error is raised, which leaves
+        the gallery as registering the rows one at a time would. Each
+        embedding holds a copy of its row, never a view of ``block``.
+        """
+        if block.ndim != 2 or block.shape[1] != self.dimension:
+            self._check_row(labels[0], block[0])  # raises: no row has the dimension
+        # unit_vector of every row: one expression where the squared norm is
+        # a normal float, which also proves the row finite and non-zero, and
+        # unit_vector itself where the row is valid but its square is not
+        with np.errstate(over="ignore"):
+            sq = np.add.reduce(block * block, axis=1)
+        abnormal = [k for k, s in enumerate(sq.tolist()) if not _TINY <= s < math.inf]
+        end = len(labels)
+        for k in abnormal:
+            if not (np.isfinite(block[k]).all() and block[k].any()):
+                end = k
+                break
+            sq[k] = 1.0  # a stand-in: unit_vector gives this row below
+        end = next((k for k in range(end) if not _is_label(labels[k])), end)
+        rows = block[:end]
+        unit = rows / np.sqrt(sq[:end])[:, None]
+        for k in abnormal:
+            if k >= end:
+                break
+            unit[k] = unit_vector(rows[k])
+        stored: list[str] = []
         with self._lock:
-            if instance_id is None:
-                instance_id = self._fresh_id()
-            elif instance_id in self._ids:
-                raise InputContractError(f"instance id {instance_id!r} already present")
-            emb = Embedding(instance_id=instance_id, identity=identity, vector=v)
             n = len(self._rows)
-            if n == self._unit.shape[0]:
-                grown = np.empty((max(16, 2 * n), self.dimension))
+            if n + end > self._unit.shape[0]:
+                grown = np.empty((max(16, 2 * self._unit.shape[0], n + end), self.dimension))
                 grown[:n] = self._unit[:n]
                 self._unit = grown
-            self._unit[n] = row
-            self._rows.append(emb)
-            self._identities.setdefault(identity, []).append(emb)
-            self._ids.add(instance_id)
-            self.change_counter += 1
-            self.registrations_since_adapt += 1
-            return instance_id
+            # past the rows any reader took, so no reader sees these rows early
+            self._unit[n : n + end] = unit
+            try:
+                for k in range(end):
+                    if ids is None:
+                        instance_id = self._fresh_id()
+                    else:
+                        instance_id = ids[k]
+                        if instance_id in self._ids:
+                            raise InputContractError(
+                                f"instance id {instance_id!r} already present"
+                            )
+                    emb = Embedding(instance_id, labels[k], rows[k].copy())
+                    self._rows.append(emb)
+                    self._identities.setdefault(labels[k], []).append(emb)
+                    self._ids.add(instance_id)
+                    stored.append(instance_id)
+            finally:
+                self.change_counter += len(stored)
+                self.registrations_since_adapt += len(stored)
+        if end < len(labels):
+            self._check_row(labels[end], block[end])  # raises: the first bad row
+        return stored
 
     def remove(self, instance_id: str) -> bool:
         """Delete by instance id; drops the identity when its last embedding goes.
@@ -232,16 +301,19 @@ class Gallery:
             self._save_csv(path, counters, embeddings)
 
     def _save_csv(self, path: Path, counters: dict, embeddings: list[Embedding]) -> None:
+        # one %-format per row; only the two label fields need csv's quoting
+        values = ",".join(["%" + FLOAT_FORMAT] * self.dimension)
+        label_writer = csv.writer(_Echo())
+        cut = -len(label_writer.dialect.lineterminator)
         with open(path, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
             writer.writerow(
                 ["identity", "instance_id"] + [f"v{i}" for i in range(self.dimension)]
             )
+            newline = writer.dialect.lineterminator
             for e in embeddings:
-                writer.writerow(
-                    [e.identity, e.instance_id]
-                    + [format(x, FLOAT_FORMAT) for x in e.vector]
-                )
+                quoted = label_writer.writerow((e.identity, e.instance_id))[:cut]
+                fh.write(f"{quoted},{values % tuple(e.vector.tolist())}{newline}")
             for key, value in counters.items():
                 fh.write(f"# {key}={value}\n")
 
@@ -278,8 +350,8 @@ class Gallery:
         gallery = None
         with open(path, newline="", encoding="utf-8") as fh:
             reader = csv.reader(fh)
-            # rows are registered as they are read, so the parsed text of the
-            # whole file is never held at once
+            # rows are registered a chunk at a time as they are read, so the
+            # parsed text of the whole file is never held at once
             for row in reader:
                 if len(row) <= 1:
                     # one field: a blank line, a comment (the saved counters
@@ -301,9 +373,11 @@ class Gallery:
                     ):
                         raise GalleryFormatError(f"{path}: unrecognized header {row!r}")
                     gallery = cls(len(row) - 2)
+                    chunk = _Chunk(gallery, f"{path}:")
                     continue
                 lineno = reader.line_num
                 if len(row) != gallery.dimension + 2:
+                    chunk.flush()  # an earlier row's error comes first
                     raise GalleryFormatError(
                         f"{path}:{lineno}: row has {len(row) - 2} values, "
                         f"expected {gallery.dimension}"
@@ -311,13 +385,12 @@ class Gallery:
                 try:
                     vector = [float(x) for x in row[2:]]
                 except ValueError as exc:
+                    chunk.flush()
                     raise GalleryFormatError(f"{path}:{lineno}: {exc}") from exc
-                try:
-                    gallery.register(row[0], vector, instance_id=row[1])
-                except InputContractError as exc:
-                    raise GalleryFormatError(f"{path}:{lineno}: {exc}") from exc
+                chunk.add(row[0], row[1], vector, lineno)
         if gallery is None:
             raise GalleryFormatError(f"{path}: empty file, no header row")
+        chunk.flush()
         gallery._apply_meta(path, meta, from_text=True)
         return gallery
 
@@ -344,15 +417,28 @@ class Gallery:
             raise GalleryFormatError(
                 f"{path}: 'embeddings': expected a list, got {type(entries).__name__}"
             )
-        # InputContractError is a ValueError, so this clause also turns the
-        # gallery's own validation failures into a format error
+        chunk = _Chunk(gallery, f"{path}: embedding #")
         for i, entry in enumerate(entries):
+            try:
+                label, instance_id = entry["identity"], entry["instance_id"]
+                vector = np.asarray(entry["vector"], dtype=np.float64)
+            except (KeyError, TypeError, ValueError):
+                vector = None
+            if vector is not None and vector.shape == (dimension,):
+                chunk.add(label, instance_id, vector, i)
+                continue
+            # not a row of floats: after the rows before it, register it
+            # alone, which raises the error it gives
+            chunk.flush()
+            # InputContractError is a ValueError, so this clause also turns
+            # the gallery's own validation failures into a format error
             try:
                 gallery.register(
                     entry["identity"], entry["vector"], instance_id=entry["instance_id"]
                 )
             except (KeyError, TypeError, ValueError) as exc:
                 raise GalleryFormatError(f"{path}: embedding #{i}: {exc}") from exc
+        chunk.flush()
         gallery._apply_meta(path, payload, from_text=False)
         return gallery
 
@@ -376,3 +462,38 @@ class Gallery:
                     f"{path}: {key!r}: expected an integer >= 0, got {meta[key]!r}"
                 )
             setattr(self, key, value)
+
+
+class _Chunk:
+    """A loader's parsed rows, registered ``_LOAD_CHUNK`` at a time through
+    one float64 buffer. A row's error is prefixed with ``where`` and the
+    row's position in the file (a line number or an entry index)."""
+
+    def __init__(self, gallery: Gallery, where: str):
+        self.gallery = gallery
+        self.where = where
+        self.block = np.empty((_LOAD_CHUNK, gallery.dimension))
+        self.labels: list = []
+        self.ids: list = []
+        self.positions: list[int] = []
+
+    def add(self, identity, instance_id, vector, position: int) -> None:
+        self.block[len(self.labels)] = vector
+        self.labels.append(identity)
+        self.ids.append(instance_id)
+        self.positions.append(position)
+        if len(self.labels) == _LOAD_CHUNK:
+            self.flush()
+
+    def flush(self) -> None:
+        """Register the rows added since the last flush."""
+        gallery = self.gallery
+        count = len(gallery)
+        labels, ids, positions = self.labels, self.ids, self.positions
+        self.labels, self.ids, self.positions = [], [], []
+        try:
+            gallery._register_rows(labels, ids, self.block[: len(labels)])
+        except (TypeError, ValueError) as exc:
+            # the rows before the bad one are stored
+            where = f"{self.where}{positions[len(gallery) - count]}"
+            raise GalleryFormatError(f"{where}: {exc}") from exc

@@ -111,3 +111,35 @@ def clustered_gallery(
 @pytest.fixture
 def make_gallery():
     return clustered_gallery
+
+
+def reference_synthetic(spec) -> Gallery:
+    """``generate_synthetic`` one embedding at a time: one draw, one
+    ``np.linalg.norm`` and one ``register`` per embedding."""
+    rng = np.random.default_rng(spec.rng_seed)
+    gallery = Gallery(spec.dimension)
+    for i in range(spec.num_identities):
+        center = rng.standard_normal(spec.dimension)
+        center = center / np.linalg.norm(center) * spec.between_spread
+        for _ in range(spec.embeddings_per_identity):
+            v = center + spec.within_spread * rng.standard_normal(spec.dimension)
+            gallery.register(f"id{i:04d}", v / np.linalg.norm(v))
+    return gallery
+
+
+def gallery_contents(gallery) -> tuple:
+    """Everything two galleries must share to be the same: each embedding's
+    label, id and raw bits by identity, the labels and bits of the unit rows
+    in registration order, and both counters."""
+    _, unit, labels = gallery.unit_rows()
+    return (
+        [
+            (e.identity, e.instance_id, e.vector.tobytes())
+            for label in gallery.identities
+            for e in gallery.embeddings_of(label)
+        ],
+        labels,
+        unit.tobytes(),
+        gallery.change_counter,
+        gallery.registrations_since_adapt,
+    )

@@ -28,6 +28,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 import oracles  # noqa: E402
 import workloads  # noqa: E402
 from spans import Tracer  # noqa: E402
+from conftest import gallery_contents, reference_synthetic  # noqa: E402
 
 
 def source():
@@ -78,3 +79,19 @@ def test_build_matches_the_block_max_oracle_across_bands():
     assert dist.auto_samples.size == auto.size and dist.cross_samples.size == cross.size
     assert np.allclose(np.sort(dist.auto_samples), auto, rtol=0.0, atol=1e-12)
     assert np.allclose(np.sort(dist.cross_samples), cross, rtol=0.0, atol=1e-12)
+
+
+def test_inputs_are_those_of_the_per_embedding_generator(monkeypatch):
+    # the galleries and queries every workload sets up, whatever path
+    # generate_synthetic takes to them
+    for spec in (workloads.READAPT_SPEC, workloads.grow_spec(1)):
+        assert gallery_contents(generate_synthetic(spec)) == gallery_contents(
+            reference_synthetic(spec)
+        )
+    enrolled, queries = workloads.stream_inputs(1)
+    monkeypatch.setattr(workloads, "generate_synthetic", reference_synthetic)
+    want_enrolled, want_queries = workloads.stream_inputs(1)
+    assert gallery_contents(enrolled) == gallery_contents(want_enrolled)
+    assert [(q.identity, q.instance_id, q.vector.tobytes()) for q in queries] == [
+        (q.identity, q.instance_id, q.vector.tobytes()) for q in want_queries
+    ]

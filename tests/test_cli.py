@@ -54,6 +54,27 @@ class TestSynth:
         )
         assert other.read_bytes() == synth_file.read_bytes()
 
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("--seed", "-1", "rng_seed must be >= 0"),
+            ("--within", "nan", "within_spread must be finite and > 0"),
+            ("--between", "inf", "between_spread must be finite and > 0"),
+            ("--within", "0", "within_spread must be finite and > 0"),
+        ],
+    )
+    def test_bad_spec_exit_2(self, tmp_path, capsys, flag, value, message):
+        argv = {
+            "--identities": "6", "--per-identity": "3", "--dim": "16",
+            "--within": "0.2", "--between": "1.0", "--seed": "5",
+        }
+        argv[flag] = value
+        out = tmp_path / "emb.csv"
+        code = main(["synth", *(x for kv in argv.items() for x in kv), "--out", str(out)])
+        assert code == EXIT_CONTRACT
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
 
 class TestAdapt:
     def test_prints_state_json(self, synth_file, capsys):

@@ -4,6 +4,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import adathresh.experiment
 import adathresh.optimizer
@@ -26,6 +28,7 @@ from adathresh import (
     simulate_stream,
     summarize,
 )
+from conftest import gallery_contents, reference_synthetic
 
 
 def small_spec(**overrides):
@@ -192,6 +195,60 @@ class TestGenerateSynthetic:
             small_spec(num_identities=0)
         with pytest.raises(InputContractError):
             small_spec(within_spread=0.0)
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("num_identities", 2.5, "num_identities must be an integer"),
+            ("num_identities", "3", "num_identities must be an integer"),
+            ("num_identities", True, "num_identities must be an integer, not a bool"),
+            ("embeddings_per_identity", 0, "counts must be positive"),
+            ("embeddings_per_identity", np.bool_(True), "not a bool"),
+            ("dimension", 1, "dimension must be >= 2"),
+            ("dimension", 16.0, "dimension must be an integer"),
+            ("rng_seed", -1, "rng_seed must be >= 0"),
+            ("rng_seed", True, "rng_seed must be an integer, not a bool"),
+            ("rng_seed", 1.5, "rng_seed must be an integer"),
+            ("rng_seed", None, "rng_seed must be an integer"),
+            ("within_spread", float("nan"), "within_spread must be finite and > 0"),
+            ("within_spread", float("inf"), "within_spread must be finite and > 0"),
+            ("within_spread", -0.1, "within_spread must be finite and > 0"),
+            ("within_spread", True, "within_spread must be a number"),
+            ("within_spread", "0.2", "within_spread must be a number"),
+            ("between_spread", float("inf"), "between_spread must be finite and > 0"),
+            ("between_spread", float("nan"), "between_spread must be finite and > 0"),
+        ],
+    )
+    def test_spec_rejects(self, field, value, message):
+        with pytest.raises(InputContractError, match=message):
+            small_spec(**{field: value})
+
+    def test_spec_takes_integer_like_counts(self):
+        spec = small_spec(num_identities=np.int64(3), dimension=np.int32(8), rng_seed=np.uint8(4))
+        assert (spec.num_identities, spec.dimension, spec.rng_seed) == (3, 8, 4)
+        assert all(
+            type(value) is int for value in (spec.num_identities, spec.dimension, spec.rng_seed)
+        )
+        assert small_spec(within_spread=np.float32(0.25), between_spread=2).between_spread == 2
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        spec=st.builds(
+            SynthSpec,
+            num_identities=st.integers(1, 6),
+            embeddings_per_identity=st.integers(1, 5),
+            dimension=st.integers(2, 40),
+            within_spread=st.floats(1e-6, 3.0),
+            between_spread=st.floats(1e-3, 3.0),
+            rng_seed=st.integers(0, 2**64 - 1),
+        )
+    )
+    def test_equals_one_embedding_at_a_time(self, spec):
+        # raw vectors, labels, instance ids, row order, unit rows and both
+        # counters are those of one draw and one register per embedding
+        assert gallery_contents(generate_synthetic(spec)) == gallery_contents(
+            reference_synthetic(spec)
+        )
 
 
 class TestSummarize:

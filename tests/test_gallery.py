@@ -1,8 +1,11 @@
+import csv
 import json
 import sys
 import tempfile
 import threading
+import tracemalloc
 import warnings
+from unittest import mock
 from pathlib import Path
 
 import numpy as np
@@ -18,6 +21,8 @@ from adathresh import (
     InputContractError,
     ZeroVectorError,
 )
+import adathresh.gallery
+from adathresh.gallery import FLOAT_FORMAT
 from adathresh.similarity import unit_vector
 from conftest import naive_cosine
 
@@ -545,6 +550,200 @@ class TestPersistence:
         with tempfile.TemporaryDirectory() as tmp:
             for name in ("g.csv", "g.json"):
                 self.round_trip(g, Path(tmp) / name)
+
+
+def per_float_csv(gallery, path):
+    """The CSV writer formatting one value at a time: ``csv.writer`` on every
+    field and ``format(x, FLOAT_FORMAT)`` on each float."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(
+            ["identity", "instance_id"] + [f"v{i}" for i in range(gallery.dimension)]
+        )
+        for label in gallery.identities:
+            for e in gallery.embeddings_of(label):
+                writer.writerow(
+                    [e.identity, e.instance_id] + [format(x, FLOAT_FORMAT) for x in e.vector]
+                )
+        for key in ("change_counter", "registrations_since_adapt"):
+            fh.write(f"# {key}={getattr(gallery, key)}\n")
+
+
+def csv_lines(rows, dim=2):
+    """A gallery CSV with one data row per ``(label, id, values)``."""
+    header = ",".join(["identity", "instance_id"] + [f"v{i}" for i in range(dim)])
+    return "\n".join([header] + [",".join([a, b, *v]) for a, b, v in rows]) + "\n"
+
+
+class TestBatchedPersistence:
+    # labels and ids that need quoting or look like comments
+    awkward = st.sampled_from(["\n", "\r", "a\r\n", '"', '""x', ",", "#", "# c=1", " ", "é"])
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        entries=st.lists(
+            st.tuples(
+                st.text(min_size=1) | awkward,
+                st.text() | awkward,
+                # unbounded finite floats: every exponent, subnormals and -0.0
+                st.lists(
+                    st.floats(allow_nan=False, allow_infinity=False)
+                    | st.sampled_from([5e-324, -0.0, 1.7976931348623157e308, -1.7e308]),
+                    min_size=3,
+                    max_size=3,
+                ).filter(any),
+            ),
+            min_size=1,
+            max_size=6,
+            unique_by=lambda entry: entry[1],
+        )
+    )
+    def test_save_writes_the_bytes_of_the_per_float_writer(self, entries):
+        g = Gallery(3)
+        for label, instance_id, vector in entries:
+            g.register(label, vector, instance_id=instance_id)
+        with tempfile.TemporaryDirectory() as tmp:
+            got, want = Path(tmp) / "got.csv", Path(tmp) / "want.csv"
+            g.save(got)
+            per_float_csv(g, want)
+            assert got.read_bytes() == want.read_bytes()
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        vectors=st.lists(
+            st.lists(wide_floats, min_size=3, max_size=3).filter(any)
+            | st.sampled_from([[1e-300, 0.0, 1e-310], [1e300, -1e308, 1.0], [5e-324] * 3]),
+            min_size=1,
+            max_size=9,
+        ),
+        chunk=st.integers(1, 4),
+    )
+    def test_loaded_unit_rows_are_unit_vector_of_each_row(self, vectors, chunk):
+        g = Gallery(3)
+        for k, vector in enumerate(vectors):
+            g.register(f"id{k % 3}", vector)
+        with tempfile.TemporaryDirectory() as tmp, mock.patch.object(
+            adathresh.gallery, "_LOAD_CHUNK", chunk
+        ):
+            for name in ("g.csv", "g.json"):
+                g.save(Path(tmp) / name)
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    loaded = Gallery.load(Path(tmp) / name)
+                _, unit, _ = loaded.unit_rows()
+                raw = [e for label in loaded.identities for e in loaded.embeddings_of(label)]
+                # generated in identity order, so registration order is too
+                assert len(raw) == unit.shape[0] == len(vectors)
+                for row, e in zip(unit, raw):
+                    assert row.tobytes() == unit_vector(e.vector).tobytes()
+
+    def test_each_embedding_owns_its_vector(self, tmp_path):
+        rng = np.random.default_rng(65)
+        g = Gallery(4)
+        for k in range(5):
+            g.register(f"id{k % 2}", rng.standard_normal(4))
+        for name in ("g.csv", "g.json"):
+            g.save(tmp_path / name)
+            loaded = Gallery.load(tmp_path / name)
+            for label in loaded.identities:
+                for e in loaded.embeddings_of(label):
+                    assert e.vector.base is None and e.vector.flags.owndata
+
+    # a valid 300-row file (two chunks) with line 1 the header, so row k
+    # (from 0) is on line k + 2; each case breaks one row of the second chunk
+    @pytest.mark.parametrize(
+        "k, row, message",
+        [
+            (260, ("b", "e3", ["1", "0"]), "instance id 'e3' already present"),
+            (261, ("b", "e260", ["1", "0"]), "instance id 'e260' already present"),
+            (270, ("b", "x", ["0", "-0"]), "zero vectors cannot be stored"),
+            (271, ("", "x", ["1", "0"]), "identity label must be a non-empty string"),
+            (272, ("b", "x", ["1", "nan"]), "vector contains non-finite values"),
+            (273, ("b", "x", ["1", "zebra"]), "could not convert string to float: 'zebra'"),
+            (274, ("b", "x", ["1"]), "row has 1 values, expected 2"),
+        ],
+    )
+    def test_load_errors_name_their_line_in_any_chunk(self, tmp_path, k, row, message):
+        assert adathresh.gallery._LOAD_CHUNK <= 260 < 300  # the second chunk
+        rows = [(f"id{j % 7}", f"e{j}", [repr(1.0 + j), "0.5"]) for j in range(300)]
+        rows[k] = row
+        if k == 261:
+            rows[260] = ("b", "e260", ["1", "0"])
+        path = tmp_path / "g.csv"
+        path.write_text(csv_lines(rows))
+        with pytest.raises(GalleryFormatError) as info:
+            Gallery.load(path)
+        assert str(info.value) == f"{path}:{k + 2}: {message}"
+        if k < 273:  # the same rows as JSON name the entry
+            entries = [
+                {"identity": a, "instance_id": b, "vector": [float(x) for x in v]}
+                for a, b, v in rows
+            ]
+            path = tmp_path / "g.json"
+            path.write_text(json.dumps({"dimension": 2, "embeddings": entries}))
+            with pytest.raises(GalleryFormatError) as info:
+                Gallery.load(path)
+            assert str(info.value) == f"{path}: embedding #{k}: {message}"
+
+    @pytest.mark.parametrize("later", [("b", "y", ["1", "zebra"]), ("b", "y", ["1"])])
+    def test_an_earlier_bad_row_fails_before_a_later_unparsable_one(self, tmp_path, later):
+        path = tmp_path / "g.csv"
+        path.write_text(csv_lines([("a", "x", ["1", "0"]), ("a", "x", ["0", "1"]), later]))
+        with pytest.raises(GalleryFormatError, match=r"g\.csv:3: instance id 'x' already present"):
+            Gallery.load(path)
+
+    def test_an_earlier_bad_entry_fails_before_a_later_malformed_one(self, tmp_path):
+        path = tmp_path / "g.json"
+        entries = [
+            {"identity": "a", "instance_id": "x", "vector": [1.0, 0.0]},
+            {"identity": "a", "instance_id": "x", "vector": [0.0, 1.0]},
+            {"identity": "a", "instance_id": "y", "vector": "zebra"},
+            {"identity": "a", "vector": [0.0, 1.0]},
+        ]
+        for last in (2, 3):
+            payload = {"dimension": 2, "embeddings": entries[:2] + entries[last : last + 1]}
+            path.write_text(json.dumps(payload))
+            with pytest.raises(GalleryFormatError, match="embedding #1: instance id 'x'"):
+                Gallery.load(path)
+
+    @pytest.mark.parametrize(
+        "entry, message",
+        [
+            ({"identity": "a", "instance_id": "y", "vector": "zebra"}, "could not convert"),
+            ({"identity": "", "instance_id": "y", "vector": "zebra"}, "non-empty string"),
+            ({"identity": "a", "vector": [0.0, 1.0]}, "'instance_id'"),
+            ({"identity": "a", "instance_id": "y", "vector": [[0.0, 1.0]]}, r"shape \(1, 2\)"),
+            ({"identity": "a", "instance_id": ["y"], "vector": [0.0, 1.0]}, "unhashable"),
+            ([1, 2], "list indices"),
+        ],
+    )
+    def test_malformed_entry_gets_the_error_register_gives(self, tmp_path, entry, message):
+        path = tmp_path / "g.json"
+        ok = {"identity": "a", "instance_id": "x", "vector": [1.0, 0.0]}
+        path.write_text(json.dumps({"dimension": 2, "embeddings": [ok, entry]}))
+        with pytest.raises(GalleryFormatError, match=f"embedding #1: .*{message}"):
+            Gallery.load(path)
+
+    def test_load_memory_is_a_few_galleries_of_floats(self, tmp_path):
+        rows, dim = 2_000, 128
+        rng = np.random.default_rng(66)
+        g = Gallery(dim)
+        for k in range(rows):
+            g.register(f"id{k // 4:04d}", rng.standard_normal(dim))
+        path = tmp_path / "g.csv"
+        g.save(path)
+        del g
+        Gallery.load(path)  # warm-up: imports and caches outside the measure
+        tracemalloc.start()
+        try:
+            loaded = Gallery.load(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(loaded) == rows
+        # the unit rows and the raw rows are 2 x rows x dim x 8 bytes; holding
+        # the parsed floats of the whole file would need more than 6 x
+        assert peak < 3 * rows * dim * 8
 
 
 class TestConcurrency:
