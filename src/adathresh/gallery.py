@@ -9,6 +9,7 @@ import operator
 import threading
 from dataclasses import dataclass
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -27,22 +28,13 @@ FLOAT_FORMAT = ".17g"
 # the counters a saved gallery carries, in the order they are written
 _COUNTERS = ("change_counter", "registrations_since_adapt")
 
-# rows a loader parses into one float64 buffer before registering them; the
-# parsed floats of a whole file are never held at once
+# rows the CSV loader parses into one float64 buffer before registering them;
+# the parsed floats of a whole file are never held at once
 _LOAD_CHUNK = 256
 
 
 def _is_label(identity) -> bool:
     return isinstance(identity, str) and identity != ""
-
-
-class _Echo:
-    """A file whose ``write`` returns the text, so that a ``csv.writer`` on it
-    returns each row it formats."""
-
-    @staticmethod
-    def write(text: str) -> str:
-        return text
 
 
 @dataclass(frozen=True)
@@ -150,7 +142,7 @@ class Gallery:
         The identity is created on first use. Explicit instance ids (used by
         the file loader) must be unique across the gallery.
         """
-        # the label is checked before the vector is read, as it always was
+        # before np.asarray, so a bad label wins over an unparsable vector
         if not _is_label(identity):
             raise InputContractError("identity label must be a non-empty string")
         v = np.asarray(vector, dtype=np.float64)
@@ -174,14 +166,18 @@ class Gallery:
         # unit_vector itself where the row is valid but its square is not
         with np.errstate(over="ignore"):
             sq = np.add.reduce(block * block, axis=1)
-        abnormal = [k for k, s in enumerate(sq.tolist()) if not _TINY <= s < math.inf]
+        sqs = sq.tolist()
         end = len(labels)
-        for k in abnormal:
-            if not (np.isfinite(block[k]).all() and block[k].any()):
-                end = k
-                break
-            sq[k] = 1.0  # a stand-in: unit_vector gives this row below
-        end = next((k for k in range(end) if not _is_label(labels[k])), end)
+        abnormal = ()
+        if not all(_TINY <= s < math.inf for s in sqs):
+            abnormal = [k for k, s in enumerate(sqs) if not _TINY <= s < math.inf]
+            for k in abnormal:
+                if not (np.isfinite(block[k]).all() and block[k].any()):
+                    end = k
+                    break
+                sq[k] = 1.0  # a stand-in: unit_vector gives this row below
+        if not all(map(_is_label, labels)):
+            end = next((k for k in range(end) if not _is_label(labels[k])), end)
         rows = block[:end]
         unit = rows / np.sqrt(sq[:end])[:, None]
         for k in abnormal:
@@ -301,10 +297,12 @@ class Gallery:
             self._save_csv(path, counters, embeddings)
 
     def _save_csv(self, path: Path, counters: dict, embeddings: list[Embedding]) -> None:
-        # one %-format per row; only the two label fields need csv's quoting
+        # one %-format per row, and csv's quoting for the two label fields only
+        # (a writer on a file whose write is str returns the line it formats);
+        # passing the formatted values through csv as well costs nearly as much
+        # again as formatting them
         values = ",".join(["%" + FLOAT_FORMAT] * self.dimension)
-        label_writer = csv.writer(_Echo())
-        cut = -len(label_writer.dialect.lineterminator)
+        label_writer = csv.writer(SimpleNamespace(write=str))
         with open(path, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
             writer.writerow(
@@ -312,8 +310,9 @@ class Gallery:
             )
             newline = writer.dialect.lineterminator
             for e in embeddings:
-                quoted = label_writer.writerow((e.identity, e.instance_id))[:cut]
-                fh.write(f"{quoted},{values % tuple(e.vector.tolist())}{newline}")
+                quoted = label_writer.writerow((e.identity, e.instance_id))
+                row = values % tuple(e.vector.tolist())
+                fh.write(f"{quoted[: -len(newline)]},{row}{newline}")
             for key, value in counters.items():
                 fh.write(f"# {key}={value}\n")
 
@@ -373,7 +372,7 @@ class Gallery:
                     ):
                         raise GalleryFormatError(f"{path}: unrecognized header {row!r}")
                     gallery = cls(len(row) - 2)
-                    chunk = _Chunk(gallery, f"{path}:")
+                    chunk = _Chunk(gallery, path)
                     continue
                 lineno = reader.line_num
                 if len(row) != gallery.dimension + 2:
@@ -417,28 +416,15 @@ class Gallery:
             raise GalleryFormatError(
                 f"{path}: 'embeddings': expected a list, got {type(entries).__name__}"
             )
-        chunk = _Chunk(gallery, f"{path}: embedding #")
+        # InputContractError is a ValueError, so this clause also turns the
+        # gallery's own validation failures into a format error
         for i, entry in enumerate(entries):
-            try:
-                label, instance_id = entry["identity"], entry["instance_id"]
-                vector = np.asarray(entry["vector"], dtype=np.float64)
-            except (KeyError, TypeError, ValueError):
-                vector = None
-            if vector is not None and vector.shape == (dimension,):
-                chunk.add(label, instance_id, vector, i)
-                continue
-            # not a row of floats: after the rows before it, register it
-            # alone, which raises the error it gives
-            chunk.flush()
-            # InputContractError is a ValueError, so this clause also turns
-            # the gallery's own validation failures into a format error
             try:
                 gallery.register(
                     entry["identity"], entry["vector"], instance_id=entry["instance_id"]
                 )
             except (KeyError, TypeError, ValueError) as exc:
                 raise GalleryFormatError(f"{path}: embedding #{i}: {exc}") from exc
-        chunk.flush()
         gallery._apply_meta(path, payload, from_text=False)
         return gallery
 
@@ -465,23 +451,23 @@ class Gallery:
 
 
 class _Chunk:
-    """A loader's parsed rows, registered ``_LOAD_CHUNK`` at a time through
-    one float64 buffer. A row's error is prefixed with ``where`` and the
-    row's position in the file (a line number or an entry index)."""
+    """The CSV loader's parsed rows, registered ``_LOAD_CHUNK`` at a time
+    through one float64 buffer. A row's error is prefixed with ``path`` and
+    the row's line number."""
 
-    def __init__(self, gallery: Gallery, where: str):
+    def __init__(self, gallery: Gallery, path: Path):
         self.gallery = gallery
-        self.where = where
+        self.path = path
         self.block = np.empty((_LOAD_CHUNK, gallery.dimension))
         self.labels: list = []
         self.ids: list = []
-        self.positions: list[int] = []
+        self.linenos: list[int] = []
 
-    def add(self, identity, instance_id, vector, position: int) -> None:
+    def add(self, identity, instance_id, vector, lineno: int) -> None:
         self.block[len(self.labels)] = vector
         self.labels.append(identity)
         self.ids.append(instance_id)
-        self.positions.append(position)
+        self.linenos.append(lineno)
         if len(self.labels) == _LOAD_CHUNK:
             self.flush()
 
@@ -489,11 +475,11 @@ class _Chunk:
         """Register the rows added since the last flush."""
         gallery = self.gallery
         count = len(gallery)
-        labels, ids, positions = self.labels, self.ids, self.positions
-        self.labels, self.ids, self.positions = [], [], []
+        labels, ids, linenos = self.labels, self.ids, self.linenos
+        self.labels, self.ids, self.linenos = [], [], []
         try:
             gallery._register_rows(labels, ids, self.block[: len(labels)])
         except (TypeError, ValueError) as exc:
             # the rows before the bad one are stored
-            where = f"{self.where}{positions[len(gallery) - count]}"
-            raise GalleryFormatError(f"{where}: {exc}") from exc
+            lineno = linenos[len(gallery) - count]
+            raise GalleryFormatError(f"{self.path}:{lineno}: {exc}") from exc
