@@ -140,7 +140,8 @@ def run_incremental(
     current distributions. While the distributions are still too thin for
     Gaussian estimation (the two-identity step has a single cross sample), the
     adaptive threshold falls back to direct f1 maximization over the same
-    samples.
+    samples, and nothing is logged; a warning means adaptation failed on
+    samples that were estimable.
 
     Emits one row per (step, threshold kind); the final step always carries
     the exact ROC AUC, every step does with ``per_step_roc``.
@@ -178,7 +179,8 @@ def run_incremental(
             dist.auto_samples.size > 0
             and float(np.mean(dist.auto_samples)) > float(np.mean(dist.cross_samples))
         )
-        if means_ordered:
+        # too few samples is the fallback above, not a failure to warn about
+        if means_ordered and dist.estimable:
             state = _adapt_built(gallery, dist, state, config)
         if means_ordered and state is not None:
             adaptive_lambda = state.lambda_current
@@ -363,7 +365,7 @@ def simulate_stream(
         elif auto_register:
             novel_count += 1
             label = f"novel-{novel_count:04d}"
-            while gallery.embeddings_of(label):
+            while label in gallery:
                 novel_count += 1
                 label = f"novel-{novel_count:04d}"
             gallery.register(label, q.vector)

@@ -87,6 +87,10 @@ class Gallery:
     def __len__(self) -> int:
         return len(self._ids)
 
+    def __contains__(self, identity) -> bool:
+        """True when ``identity`` labels at least one stored embedding."""
+        return identity in self._identities
+
     @property
     def identities(self) -> list[str]:
         """Identity labels in registration order."""
@@ -251,13 +255,20 @@ class Gallery:
 
         Matches when the best similarity reaches ``threshold`` (a NaN threshold
         is rejected: it would never match); ties between identities go to the
-        lexicographically smallest label. ``np.vecdot`` computes the
-        similarities with one BLAS dot call per row. That gives a row the same
-        bits wherever it sits, so a vector stored under two labels ties
-        exactly; BLAS gemv (``unit @ q``) would not, since its bits depend on
-        the row's position, and ``einsum`` is about twice as slow. Only the
-        maximum is clipped to [-1, 1]; the tie set is every row whose clipped
-        score equals it, as if each score had been clipped.
+        lexicographically smallest label.
+
+        The query is normalised as :func:`unit_vector` does it. Its squared
+        norm is computed once; a normal value already proves the query finite
+        and non-zero, so only a query whose square is not a normal float goes
+        through the full checks, which raise the error for each kind of bad
+        input. ``np.vecdot`` computes the similarities with one BLAS dot call
+        per row. That gives a row the same bits wherever it sits, so a vector
+        stored under two labels ties exactly; BLAS gemv (``unit @ q``) would
+        not, since its bits depend on the row's position, and ``einsum`` is
+        about twice as slow. The top row comes from ``argmax`` and only its
+        score is clipped to [-1, 1]; the tie set is every row whose clipped
+        score equals it, as if each score had been clipped, and the smallest
+        label is looked for only when that set holds more than one row.
         """
         if math.isnan(threshold):
             raise InputContractError("threshold must not be NaN")
@@ -266,12 +277,25 @@ class Gallery:
             n = len(rows)
         if n == 0:
             raise EmptyGalleryError("cannot match against an empty gallery")
-        qn = unit_vector(self._validate_vector(query_vector))
+        v = np.asarray(query_vector, dtype=np.float64)
+        if v.shape != (self.dimension,):
+            self._validate_vector(v)  # raises: the query has another shape
+        with np.errstate(over="ignore"):
+            sq = np.add.reduce(v * v)
+        if _TINY <= sq < math.inf:
+            qn = v / np.sqrt(sq)  # unit_vector's own expression for this case
+        else:
+            qn = unit_vector(self._validate_vector(v))
         sims = np.vecdot(unit[:n], qn)
-        best_sim = min(1.0, max(-1.0, float(sims.max())))
+        top = sims.argmax()
+        best_sim = min(1.0, max(-1.0, sims.item(top)))
         # at -1 every score clips to -1, even one just below it, so all rows tie
-        ties = np.flatnonzero(sims >= best_sim) if best_sim > -1.0 else range(n)
-        best_label = min(rows[k].identity for k in ties)
+        if best_sim == -1.0:
+            best_label = min(rows[k].identity for k in range(n))
+        elif np.count_nonzero(sims >= best_sim) > 1:
+            best_label = min(rows[k].identity for k in np.flatnonzero(sims >= best_sim))
+        else:
+            best_label = rows[top].identity
         matched = best_sim >= threshold
         return MatchResult(
             matched=matched,

@@ -95,3 +95,34 @@ def test_inputs_are_those_of_the_per_embedding_generator(monkeypatch):
     assert [(q.identity, q.instance_id, q.vector.tobytes()) for q in queries] == [
         (q.identity, q.instance_id, q.vector.tobytes()) for q in want_queries
     ]
+
+
+def test_traced_stream_replay_equals_simulate_stream():
+    # a small stream-online: each held-out query should match its enrolled
+    # identity, each novel one be registered, and the registrations trigger
+    # a re-adaptation midway
+    source = generate_synthetic(SynthSpec(40, 4, 16, 0.1, 1.0, rng_seed=5))
+    enrolled = Gallery(source.dimension)
+    queries = []
+    for k, label in enumerate(source.identities):
+        embs = source.embeddings_of(label)
+        if k < 12:
+            for e in embs[:3]:
+                enrolled.register(label, e.vector, instance_id=e.instance_id)
+            queries.append(embs[3])
+        else:
+            queries.append(embs[0])
+    np.random.default_rng(5).shuffle(queries)
+    gallery = workloads.clone(enrolled)
+    ctx = workloads.StreamCtx(
+        gallery, adapt(gallery, None, workloads.STREAM_CONFIG), enrolled, queries
+    )
+    stream = workloads.StreamOnline()
+    r = stream.traced_round(ctx, Tracer())
+    p, mismatches = r.outputs
+    assert mismatches == 0
+    assert len(p.events) == 40 and len(p.readapts) >= 1
+    assert {e.action for e in p.events} == {"matched", "registered"}
+    checks = workloads.Checks()
+    stream.check(ctx, [r], checks)
+    assert checks.problems == []

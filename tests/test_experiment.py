@@ -165,6 +165,26 @@ class TestRunIncremental:
         assert run_incremental(g, config, [0.5]) == rows
         assert len(builds) > 9  # the public adapt built its own distributions
 
+    def test_warns_only_when_an_adaptation_fails(self, caplog):
+        # the first step's samples (2 auto, 1 cross) are too few for
+        # Gaussians by design, and that fallback logs nothing
+        g = generate_synthetic(small_spec(num_identities=12, within_spread=0.35))
+        with caplog.at_level("WARNING"):
+            run_incremental(g, AdaptConfig(), [0.5])
+        assert not [r for r in caplog.records if "skipped" in r.message]
+        # exactly-unit basis vectors make every auto sample exactly 1.0: the
+        # samples of steps 3 and 4 are estimable, and adaptation fails on them
+        g = Gallery(4)
+        for i, basis in enumerate(np.eye(4)):
+            g.register(f"id{i}", basis)
+            g.register(f"id{i}", basis)
+        caplog.clear()
+        with caplog.at_level("WARNING"):
+            rows = run_incremental(g, AdaptConfig(), [0.5])
+        skipped = [r.message for r in caplog.records if "skipped" in r.message]
+        assert len(skipped) == 2 and all("zero variance" in m for m in skipped)
+        assert len(rows) == 3 * 2
+
 
 class TestGenerateSynthetic:
     def test_same_seed_byte_identical(self, tmp_path):
@@ -462,6 +482,15 @@ class TestSimulateStream:
         simulate_stream(g, queries, threshold=0.99, auto_register=True)
         simulate_stream(g, queries[:1], threshold=1.1, auto_register=True)
         assert g.identities[-3:] == ["novel-0001", "novel-0003", "novel-0004"]
+
+        # one query per call, past a label taken before the stream began
+        g = self.make_gallery()
+        g.register("novel-0005", [1, 1, 0])
+        for _ in range(30):
+            simulate_stream(g, queries[:1], threshold=1.1, auto_register=True)
+        want = [f"novel-{k:04d}" for k in range(1, 32) if k != 5]
+        assert g.identities == ["a", "b", "novel-0005", *want]
+        assert all(len(g.embeddings_of(label)) == 1 for label in want + ["novel-0005"])
 
     def test_novel_labels_skip_taken_ones_one_query_per_call(self):
         # the way an online caller replays a stream: one query per call

@@ -250,6 +250,26 @@ class TestMatchQuery:
         with pytest.raises(DimensionMismatchError):
             g.match_query([1, 0], 0.5)
 
+    @pytest.mark.parametrize(
+        "query, error",
+        [
+            ([[1.0, 0.0, 0.0]], DimensionMismatchError),
+            (1.0, DimensionMismatchError),
+            ([1.0, float("nan"), 0.0], InputContractError),
+            ([float("inf"), 0.0, 0.0], InputContractError),
+            ([1.0, float("-inf"), 0.0], InputContractError),
+            ([float("inf"), float("-inf"), 1.0], InputContractError),
+            ([float("nan"), float("inf"), 0.0], InputContractError),
+            ([0.0, 0.0, 0.0], ZeroVectorError),
+            ([-0.0, 0.0, -0.0], ZeroVectorError),
+        ],
+    )
+    def test_bad_query_raises_its_own_error(self, query, error):
+        g = two_identity_gallery()
+        with pytest.raises(InputContractError) as exc:
+            g.match_query(query, 0.5)
+        assert type(exc.value) is error
+
     def test_nan_threshold_rejected(self):
         g = two_identity_gallery()
         with pytest.raises(InputContractError):
@@ -327,6 +347,9 @@ queries = st.one_of(
     st.tuples(st.integers(0, 11), st.sampled_from([1, -1]), st.integers(1, 5)),
     small_vectors,
 )
+# the query's largest magnitude: 1 keeps it as drawn; at 1e-300 its squared
+# norm underflows and at 1e308 it overflows
+query_scales = st.sampled_from([1.0, 1e-300, 1e308])
 
 
 class TestScoreKernel:
@@ -364,13 +387,20 @@ class TestScoreKernel:
         assert best[0] == best[1]
 
     @settings(max_examples=300, deadline=None)
-    @given(shared_rows, queries)
+    @given(shared_rows, queries, query_scales)
     # b's raw dot is 1 + 2**-52 and a's is 1.0: both clip to 1, so a wins
-    @example(([[3, 3, 0]], [("b", 0, 1), ("a", 0, 5)]), (0, 1, 1))
+    @example(([[3, 3, 0]], [("b", 0, 1), ("a", 0, 5)]), (0, 1, 1), 1.0)
     # antipodal: b's raw dot is -1.0 and a's is just below it: all rows tie at
     # -1, so a wins
-    @example(([[0, 1, 1]], [("b", 0, 1), ("a", 0, 3)]), (1, -1, 1))
-    def test_match_equals_clipping_every_score(self, rows, query):
+    @example(([[0, 1, 1]], [("b", 0, 1), ("a", 0, 3)]), (1, -1, 1), 1.0)
+    # one vector under two labels, and a nearby row of a third: a wins the tie
+    @example(([[1, 2, 3], [1, 2, 2]], [("c", 1, 1), ("b", 0, 2), ("a", 0, 2)]), (1, 1, 1), 1.0)
+    # antipodal to every row, stored out of label order: all tie at -1
+    @example(([[1, -2, 3]], [("d", 0, 1), ("c", 0, 2), ("b", 0, 5), ("d", 0, 3)]), (0, -1, 1), 1.0)
+    # a query whose squared norm underflows, then one whose square overflows
+    @example(([[1, 2, 3], [3, 0, -1]], [("b", 0, 1), ("a", 1, 2)]), [1, 2, 3], 1e-300)
+    @example(([[1, 2, 3], [3, 0, -1]], [("b", 0, 1), ("a", 1, 2)]), [-1, 2, 3], 1e308)
+    def test_match_equals_clipping_every_score(self, rows, query, query_scale):
         bases, entries = rows
         g = Gallery(3)
         stored = []
@@ -381,6 +411,9 @@ class TestScoreKernel:
         if isinstance(query, tuple):
             pick, sign, scale = query
             query = sign * scale * stored[pick % len(stored)]
+        if query_scale != 1.0:
+            query = np.asarray(query, dtype=np.float64)
+            query = query / np.abs(query).max() * query_scale
         # the reference clips every raw score, then takes the smallest label
         # among the rows equal to the maximum
         _, unit, labels = g.unit_rows()
