@@ -18,9 +18,8 @@ from .errors import (
     EmptyGalleryError,
     GalleryFormatError,
     InputContractError,
-    ZeroVectorError,
 )
-from .similarity import _TINY, unit_vector
+from .similarity import unit_rows, unit_vector
 
 # 17 significant digits round-trips any float64 exactly through decimal text.
 FLOAT_FORMAT = ".17g"
@@ -35,6 +34,10 @@ _LOAD_CHUNK = 256
 
 def _is_label(identity) -> bool:
     return isinstance(identity, str) and identity != ""
+
+
+def _shape_error(dimension: int, shape: tuple) -> DimensionMismatchError:
+    return DimensionMismatchError(f"expected a vector of dimension {dimension}, got shape {shape}")
 
 
 @dataclass(frozen=True)
@@ -67,7 +70,8 @@ class Gallery:
     lock: a registration writes past the ``len(_rows)`` rows it saw, and
     growth and removal build a new matrix and a new list. So a reader that
     took ``_unit``, ``_rows`` and their length under the lock uses them
-    unlocked and copies nothing.
+    unlocked and copies nothing. A registration is all or nothing: every row
+    and id of it is checked before any is stored.
     """
 
     def __init__(self, dimension: int):
@@ -114,25 +118,6 @@ class Gallery:
         view.flags.writeable = False
         return version, view, [e.identity for e in rows[:n]]
 
-    def _validate_vector(self, vector) -> np.ndarray:
-        """``vector`` as checked float64; may be the caller's own array."""
-        v = np.asarray(vector, dtype=np.float64)
-        if v.ndim != 1 or v.shape[0] != self.dimension:
-            raise DimensionMismatchError(
-                f"expected a vector of dimension {self.dimension}, got shape {v.shape}"
-            )
-        if not np.isfinite(v).all():
-            raise InputContractError("vector contains non-finite values")
-        if not v.any():
-            raise ZeroVectorError("zero vectors cannot be stored")
-        return v
-
-    def _check_row(self, identity, vector) -> None:
-        """Raise the error ``register`` gives this row before its id is read."""
-        if not _is_label(identity):
-            raise InputContractError("identity label must be a non-empty string")
-        self._validate_vector(vector)
-
     def _fresh_id(self) -> str:
         while True:
             self._id_counter += 1
@@ -144,7 +129,7 @@ class Gallery:
         """Store one embedding under ``identity``; returns its instance id.
 
         The identity is created on first use. Explicit instance ids (used by
-        the file loader) must be unique across the gallery.
+        the file loader) must be strings, unique across the gallery.
         """
         # before np.asarray, so a bad label wins over an unparsable vector
         if not _is_label(identity):
@@ -157,67 +142,45 @@ class Gallery:
         """Store row ``k`` of the float64 ``block`` under ``labels[k]`` and
         ``ids[k]`` (fresh ids when ``ids`` is None); returns the instance ids.
 
-        Each row is checked as :meth:`register` checks one, and an id must
-        also differ from the ids of the rows before it. The rows before the
-        first bad one are stored and then its error is raised, which leaves
-        the gallery as registering the rows one at a time would. Each
-        embedding holds a copy of its row, never a view of ``block``.
+        All or nothing: the labels, the shape, the rows (:func:`unit_rows`)
+        and then the ids, each a string found neither in the gallery nor
+        earlier in ``ids``, are checked before anything is stored, and the
+        whole block is stored under one hold of the lock. Each embedding
+        holds a copy of its row, never a view of ``block``.
         """
-        if block.ndim != 2 or block.shape[1] != self.dimension:
-            self._check_row(labels[0], block[0])  # raises: no row has the dimension
-        # unit_vector of every row: one expression where the squared norm is
-        # a normal float, which also proves the row finite and non-zero, and
-        # unit_vector itself where the row is valid but its square is not
-        with np.errstate(over="ignore"):
-            sq = np.add.reduce(block * block, axis=1)
-        sqs = sq.tolist()
-        end = len(labels)
-        abnormal = ()
-        if not all(_TINY <= s < math.inf for s in sqs):
-            abnormal = [k for k, s in enumerate(sqs) if not _TINY <= s < math.inf]
-            for k in abnormal:
-                if not (np.isfinite(block[k]).all() and block[k].any()):
-                    end = k
-                    break
-                sq[k] = 1.0  # a stand-in: unit_vector gives this row below
         if not all(map(_is_label, labels)):
-            end = next((k for k in range(end) if not _is_label(labels[k])), end)
-        rows = block[:end]
-        unit = rows / np.sqrt(sq[:end])[:, None]
-        for k in abnormal:
-            if k >= end:
-                break
-            unit[k] = unit_vector(rows[k])
-        stored: list[str] = []
+            raise InputContractError("identity label must be a non-empty string")
+        if block.shape[1:] != (self.dimension,):
+            raise _shape_error(self.dimension, block.shape[1:])
+        unit = unit_rows(block)
         with self._lock:
-            n = len(self._rows)
-            if n + end > self._unit.shape[0]:
-                grown = np.empty((max(16, 2 * self._unit.shape[0], n + end), self.dimension))
+            if ids is None:
+                ids = [self._fresh_id() for _ in labels]
+            else:
+                seen = set()
+                for instance_id in ids:
+                    if not isinstance(instance_id, str):
+                        raise InputContractError(
+                            f"instance id must be a string, got {type(instance_id).__name__}"
+                        )
+                    if instance_id in self._ids or instance_id in seen:
+                        raise InputContractError(f"instance id {instance_id!r} already present")
+                    seen.add(instance_id)
+            n, m = len(self._rows), len(ids)
+            if n + m > self._unit.shape[0]:
+                grown = np.empty((max(16, 2 * self._unit.shape[0], n + m), self.dimension))
                 grown[:n] = self._unit[:n]
                 self._unit = grown
             # past the rows any reader took, so no reader sees these rows early
-            self._unit[n : n + end] = unit
-            try:
-                for k in range(end):
-                    if ids is None:
-                        instance_id = self._fresh_id()
-                    else:
-                        instance_id = ids[k]
-                        if instance_id in self._ids:
-                            raise InputContractError(
-                                f"instance id {instance_id!r} already present"
-                            )
-                    emb = Embedding(instance_id, labels[k], rows[k].copy())
-                    self._rows.append(emb)
-                    self._identities.setdefault(labels[k], []).append(emb)
-                    self._ids.add(instance_id)
-                    stored.append(instance_id)
-            finally:
-                self.change_counter += len(stored)
-                self.registrations_since_adapt += len(stored)
-        if end < len(labels):
-            self._check_row(labels[end], block[end])  # raises: the first bad row
-        return stored
+            self._unit[n : n + m] = unit
+            for label, instance_id, row in zip(labels, ids, block):
+                emb = Embedding(instance_id, label, row.copy())
+                self._rows.append(emb)
+                self._identities.setdefault(label, []).append(emb)
+            self._ids.update(ids)
+            self.change_counter += m
+            self.registrations_since_adapt += m
+        return ids
 
     def remove(self, instance_id: str) -> bool:
         """Delete by instance id; drops the identity when its last embedding goes.
@@ -257,18 +220,18 @@ class Gallery:
         is rejected: it would never match); ties between identities go to the
         lexicographically smallest label.
 
-        The query is normalised as :func:`unit_vector` does it. Its squared
-        norm is computed once; a normal value already proves the query finite
-        and non-zero, so only a query whose square is not a normal float goes
-        through the full checks, which raise the error for each kind of bad
-        input. ``np.vecdot`` computes the similarities with one BLAS dot call
-        per row. That gives a row the same bits wherever it sits, so a vector
-        stored under two labels ties exactly; BLAS gemv (``unit @ q``) would
-        not, since its bits depend on the row's position, and ``einsum`` is
-        about twice as slow. The top row comes from ``argmax`` and only its
-        score is clipped to [-1, 1]; the tie set is every row whose clipped
-        score equals it, as if each score had been clipped, and the smallest
-        label is looked for only when that set holds more than one row.
+        A query of another shape raises :class:`DimensionMismatchError`;
+        :func:`unit_vector` normalises the query (a normal squared norm is
+        divided out at once) and raises the error for a non-finite or an
+        all-zero one. ``np.vecdot`` computes the similarities with one BLAS
+        dot call per row. That gives a row the same bits wherever it sits, so
+        a vector stored under two labels ties exactly; BLAS gemv
+        (``unit @ q``) would not, since its bits depend on the row's
+        position, and ``einsum`` is about twice as slow. The top row comes
+        from ``argmax`` and only its score is clipped to [-1, 1]; the tie set
+        is every row whose clipped score equals it, as if each score had been
+        clipped, and the smallest label is looked for only when that set
+        holds more than one row.
         """
         if math.isnan(threshold):
             raise InputContractError("threshold must not be NaN")
@@ -279,13 +242,8 @@ class Gallery:
             raise EmptyGalleryError("cannot match against an empty gallery")
         v = np.asarray(query_vector, dtype=np.float64)
         if v.shape != (self.dimension,):
-            self._validate_vector(v)  # raises: the query has another shape
-        with np.errstate(over="ignore"):
-            sq = np.add.reduce(v * v)
-        if _TINY <= sq < math.inf:
-            qn = v / np.sqrt(sq)  # unit_vector's own expression for this case
-        else:
-            qn = unit_vector(self._validate_vector(v))
+            raise _shape_error(self.dimension, v.shape)
+        qn = unit_vector(v)
         sims = np.vecdot(unit[:n], qn)
         top = sims.argmax()
         best_sim = min(1.0, max(-1.0, sims.item(top)))
@@ -497,13 +455,16 @@ class _Chunk:
 
     def flush(self) -> None:
         """Register the rows added since the last flush."""
-        gallery = self.gallery
-        count = len(gallery)
         labels, ids, linenos = self.labels, self.ids, self.linenos
         self.labels, self.ids, self.linenos = [], [], []
+        block = self.block[: len(labels)]
         try:
-            gallery._register_rows(labels, ids, self.block[: len(labels)])
-        except (TypeError, ValueError) as exc:
-            # the rows before the bad one are stored
-            lineno = linenos[len(gallery) - count]
-            raise GalleryFormatError(f"{self.path}:{lineno}: {exc}") from exc
+            self.gallery._register_rows(labels, ids, block)
+        except (TypeError, ValueError):
+            # nothing was stored: the rows one at a time name the first bad line
+            for label, instance_id, row, lineno in zip(labels, ids, block, linenos):
+                try:
+                    self.gallery.register(label, row, instance_id=instance_id)
+                except (TypeError, ValueError) as exc:
+                    raise GalleryFormatError(f"{self.path}:{lineno}: {exc}") from exc
+            raise

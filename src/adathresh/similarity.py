@@ -19,24 +19,49 @@ logger = logging.getLogger(__name__)
 _TINY = np.finfo(np.float64).tiny
 
 
-def unit_vector(v: np.ndarray) -> np.ndarray:
-    """``v`` scaled to norm 1, for any finite non-zero 1-D float64 vector.
+def unit_rows(block: np.ndarray) -> np.ndarray:
+    """Each row of the 2-D float64 ``block`` scaled to norm 1.
 
-    When the squared norm is a normal float this is ``v / sqrt(sum(v * v))``,
-    which gives each row the bits that ``v / np.linalg.norm(v, axis=1)`` gives
-    it in a batch (``np.linalg.norm`` of a 1-D vector sums through ``dot`` and
-    can differ). When the square underflows or overflows, ``v`` is first
-    divided by its largest magnitude.
+    A row with a non-finite value raises :class:`InputContractError`, an
+    all-zero row :class:`ZeroVectorError`; any other row is accepted, however
+    small or large its magnitude. Where a row's squared norm is a normal
+    float, which proves the row finite and non-zero, its unit row is
+    ``row / sqrt(sum(row * row))``. Where the square underflows or overflows,
+    the row is first divided by its largest magnitude.
+    """
+    with np.errstate(over="ignore"):
+        sq = np.add.reduce(block * block, axis=1)
+    # a Python loop over the squares: numpy's masks cost more on a short block
+    if all(_TINY <= s < np.inf for s in sq.tolist()):
+        return block / np.sqrt(sq)[:, None]
+    abnormal = ~((_TINY <= sq) & (sq < np.inf))
+    rest = block[abnormal]
+    if not np.isfinite(rest).all():
+        raise InputContractError("vector contains non-finite values")
+    scale = np.abs(rest).max(axis=1)
+    if not scale.all():
+        raise ZeroVectorError("zero vectors cannot be stored")
+    sq[abnormal] = 1.0  # a stand-in: these rows are set below
+    unit = block / np.sqrt(sq)[:, None]
+    w = rest / scale[:, None]
+    unit[abnormal] = w / np.sqrt(np.add.reduce(w * w, axis=1))[:, None]
+    return unit
+
+
+def unit_vector(v: np.ndarray) -> np.ndarray:
+    """``v`` scaled to norm 1: the 1-D case of :func:`unit_rows`, with the
+    same checks and the same bits as that row in any block.
+
+    The squared norm is computed once; a normal value is divided out
+    straight away, and only a vector whose square is not a normal float
+    goes through :func:`unit_rows`. (``np.linalg.norm`` of a 1-D vector sums
+    through ``dot`` and can differ from a row of a block in its last bit.)
     """
     with np.errstate(over="ignore"):
         sq = np.add.reduce(v * v)
     if _TINY <= sq < np.inf:
         return v / np.sqrt(sq)
-    scale = np.abs(v).max()
-    if scale == 0.0:
-        raise ZeroVectorError("zero-norm vector has no direction")
-    w = v / scale
-    return w / np.sqrt(np.add.reduce(w * w))
+    return unit_rows(v[None])[0]
 
 
 @dataclass(frozen=True, eq=False)

@@ -23,7 +23,7 @@ from adathresh import (
 )
 import adathresh.gallery
 from adathresh.gallery import FLOAT_FORMAT
-from adathresh.similarity import unit_vector
+from adathresh.similarity import unit_rows, unit_vector
 from conftest import naive_cosine
 
 
@@ -77,6 +77,21 @@ class TestRegister:
         g = Gallery(3)
         with pytest.raises(InputContractError):
             g.register("", [1, 0, 0])
+
+    @pytest.mark.parametrize("instance_id", [5, ("t",), b"x"])
+    def test_instance_id_must_be_a_string(self, tmp_path, instance_id):
+        g = two_identity_gallery()
+        with pytest.raises(InputContractError, match="instance id must be a string"):
+            g.register("c", [0, 0, 1], instance_id=instance_id)
+        assert (len(g), g.change_counter) == (3, 3)
+        # the saved files hold only the stored rows, and load as they were
+        for name in ("g.csv", "g.json"):
+            g.save(tmp_path / name)
+            loaded = Gallery.load(tmp_path / name)
+            assert [(e.instance_id, e.vector.tolist()) for e in loaded.embeddings_of("a")] == [
+                (e.instance_id, e.vector.tolist()) for e in g.embeddings_of("a")
+            ]
+            assert loaded.identities == ["a", "b"]
 
     def test_registrations_counter(self):
         g = two_identity_gallery()
@@ -144,6 +159,72 @@ class TestVectorNumerics:
         assert labels == ["a"] * len(vectors)
         norms = np.sqrt((rows * rows).sum(axis=1))
         assert np.all(np.abs(norms - 1.0) <= 1e-12)
+
+
+# what makes the one bad row of a block bad
+block_faults = ["label", "nan", "inf", "zero", "present", "repeated", "id type"]
+
+
+class TestBlockRegistration:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        stored=st.integers(1, 4),
+        vectors=st.lists(
+            st.lists(wide_floats, min_size=3, max_size=3).filter(any), min_size=2, max_size=6
+        ),
+        explicit=st.booleans(),
+        fault=st.sampled_from(block_faults),
+        data=st.data(),
+    )
+    def test_a_bad_row_stores_nothing_and_raises_its_own_error(
+        self, stored, vectors, explicit, fault, data
+    ):
+        def gallery():
+            g = Gallery(3)
+            for k in range(stored):
+                g.register(f"p{k % 2}", [1.0, float(k), 0.0], instance_id=f"p{k}")
+            return g
+
+        def state(g):
+            version, unit, labels = g.unit_rows()
+            ids = [e.instance_id for embs in g.snapshot()[1].values() for e in embs]
+            counters = (g.change_counter, g.registrations_since_adapt)
+            return len(g), counters, g.identities, version, unit.tobytes(), labels, ids
+
+        labels = [f"id{k % 3}" for k in range(len(vectors))]
+        block = np.array(vectors, dtype=np.float64)
+        ids = None
+        if explicit or fault in ("present", "repeated", "id type"):
+            ids = [f"b{k}" for k in range(len(vectors))]
+        j = data.draw(st.integers(fault == "repeated", len(vectors) - 1), label="bad row")
+        if fault == "label":
+            labels[j] = data.draw(st.sampled_from(["", None, 7]))
+        elif fault in ("nan", "inf"):
+            bad = float(fault) * data.draw(st.sampled_from([1, -1]))
+            block[j, data.draw(st.integers(0, 2))] = bad
+        elif fault == "zero":
+            block[j] = data.draw(st.sampled_from([0.0, -0.0]))
+        elif fault == "present":
+            ids[j] = f"p{data.draw(st.integers(0, stored - 1))}"
+        elif fault == "repeated":
+            ids[j] = ids[data.draw(st.integers(0, j - 1))]
+        else:
+            ids[j] = data.draw(st.sampled_from([5, 1.5, ("t",), b"x"]))
+
+        # the error of registering the rows one at a time
+        one_by_one = gallery()
+        with pytest.raises(InputContractError) as expected:
+            for k in range(len(vectors)):
+                one_by_one.register(labels[k], block[k], None if ids is None else ids[k])
+        g = gallery()
+        before = state(g)
+        with pytest.raises(InputContractError) as info:
+            g._register_rows(labels, ids, block)
+        assert type(info.value) is type(expected.value)
+        assert str(info.value) == str(expected.value)
+        assert state(g) == before
+        # no fresh id was drawn either
+        assert g.register("z", [0, 0, 1]) == gallery().register("z", [0, 0, 1])
 
 
 class TestRemove:
@@ -669,6 +750,10 @@ class TestBatchedPersistence:
                 assert len(raw) == unit.shape[0] == len(vectors)
                 for row, e in zip(unit, raw):
                     assert row.tobytes() == unit_vector(e.vector).tobytes()
+        # and the block as one input: each row has the bits of its own call
+        block = np.array(vectors, dtype=np.float64)
+        for row, vector in zip(unit_rows(block), block):
+            assert row.tobytes() == unit_vector(vector).tobytes()
 
     def test_each_embedding_owns_its_vector(self, tmp_path):
         rng = np.random.default_rng(65)
@@ -694,14 +779,28 @@ class TestBatchedPersistence:
             (272, ("b", "x", ["1", "nan"]), "vector contains non-finite values"),
             (273, ("b", "x", ["1", "zebra"]), "could not convert string to float: 'zebra'"),
             (274, ("b", "x", ["1"]), "row has 1 values, expected 2"),
+            # two bad rows in one chunk, the later one's fault checked first
+            # for a whole block: the earlier line is named
+            (
+                270,
+                {270: ("b", "x", ["0", "0"]), 271: ("", "y", ["1", "0"])},
+                "zero vectors cannot be stored",
+            ),
+            (
+                260,
+                {260: ("b", "e3", ["1", "0"]), 262: ("b", "x", ["nan", "0"])},
+                "instance id 'e3' already present",
+            ),
         ],
     )
     def test_load_errors_name_their_line_in_any_chunk(self, tmp_path, k, row, message):
+        """``row`` is the row put at ``k``, or a dict of rows by index."""
         assert adathresh.gallery._LOAD_CHUNK <= 260 < 300  # the second chunk
         rows = [(f"id{j % 7}", f"e{j}", [repr(1.0 + j), "0.5"]) for j in range(300)]
-        rows[k] = row
         if k == 261:
             rows[260] = ("b", "e260", ["1", "0"])
+        for j, bad in (row if isinstance(row, dict) else {k: row}).items():
+            rows[j] = bad
         path = tmp_path / "g.csv"
         path.write_text(csv_lines(rows))
         with pytest.raises(GalleryFormatError) as info:
@@ -746,8 +845,9 @@ class TestBatchedPersistence:
             ({"identity": "", "instance_id": "y", "vector": "zebra"}, "non-empty string"),
             ({"identity": "a", "vector": [0.0, 1.0]}, "'instance_id'"),
             ({"identity": "a", "instance_id": "y", "vector": [[0.0, 1.0]]}, r"shape \(1, 2\)"),
-            ({"identity": "a", "instance_id": ["y"], "vector": [0.0, 1.0]}, "unhashable"),
+            ({"identity": "a", "instance_id": ["y"], "vector": [0.0, 1.0]}, "string, got list"),
             ([1, 2], "list indices"),
+            ({"identity": "a", "instance_id": 5, "vector": [0.0, 1.0]}, "string, got int"),
         ],
     )
     def test_malformed_entry_gets_the_error_register_gives(self, tmp_path, entry, message):

@@ -17,7 +17,7 @@ from adathresh import (
     optimize_f1,
 )
 from adathresh import similarity
-from adathresh.similarity import unit_vector
+from adathresh.similarity import unit_rows, unit_vector
 from conftest import large_sweep_samples, naive_distributions
 
 
@@ -34,6 +34,45 @@ class TestUnitVector:
             np.testing.assert_allclose(
                 unit_vector(alpha * x), unit_vector(x), rtol=0, atol=1e-12
             )
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(
+            st.lists(
+                st.builds(lambda m, e: m * 2.0**e, st.floats(-1, 1), st.integers(-1074, 1023)),
+                min_size=3,
+                max_size=3,
+            ).filter(any),
+            min_size=1,
+            max_size=5,
+        )
+    )
+    def test_rows_get_the_bits_of_the_two_branch_formula(self, vectors):
+        block = np.array(vectors)
+        for got, v in zip(unit_rows(block), block):
+            with np.errstate(over="ignore"):
+                sq = np.add.reduce(v * v)
+            if not np.finfo(np.float64).tiny <= sq < math.inf:
+                # a square that underflows or overflows: scale by the largest
+                # magnitude first
+                v = v / np.abs(v).max()
+                sq = np.add.reduce(v * v)
+            assert got.tobytes() == (v / np.sqrt(sq)).tobytes()
+
+    @pytest.mark.parametrize(
+        "row, error",
+        [
+            ([1.0, math.nan], InputContractError),
+            ([math.inf, 0.0], InputContractError),
+            ([0.0, -0.0], ZeroVectorError),
+        ],
+    )
+    def test_a_bad_row_raises_alone_or_in_a_block(self, row, error):
+        block = np.array([[1.0, 2.0], row, [1e-300, 0.0]])
+        for call in (lambda: unit_rows(block), lambda: unit_vector(np.array(row))):
+            with pytest.raises(InputContractError) as info:
+                call()
+            assert type(info.value) is error
 
 
 class TestBuildDistributions:
