@@ -36,7 +36,6 @@ from .metrics import (
     ConfusionCounts,
     MetricsReport,
     RocCurve,
-    confusion_at,
     metrics_at,
     roc_auc,
     roc_sweep,
@@ -49,7 +48,6 @@ from .optimizer import (
     optimize_f1,
     optimize_tpr_fpr_gap,
     select_threshold,
-    tpr_fpr_objective,
 )
 from .similarity import SimilarityDistributions, build_distributions
 from .stats import (
@@ -89,7 +87,6 @@ __all__ = [
     "ZeroVectorError",
     "adapt",
     "build_distributions",
-    "confusion_at",
     "estimate_gaussian",
     "export",
     "export_stream_events",
@@ -109,5 +106,4 @@ __all__ = [
     "select_threshold",
     "simulate_stream",
     "summarize",
-    "tpr_fpr_objective",
 ]

@@ -47,7 +47,7 @@ def _build_config(args) -> AdaptConfig:
         try:
             with open(args.config, encoding="utf-8") as fh:
                 file_values = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, ValueError) as exc:
             raise InputContractError(f"cannot read config file: {exc}") from exc
         if not isinstance(file_values, dict):
             raise InputContractError("config file must hold a JSON object")

@@ -31,3 +31,17 @@ class DegenerateDataError(AdathreshError):
     Raised for zero-variance sample sets, statistically identical auto and
     cross distributions, or sample sets too small to fit a Gaussian.
     """
+
+
+def utf8_error(path) -> GalleryFormatError:
+    """The format error for a text file that is not valid UTF-8, naming the
+    first line that holds a bad byte. No byte of a multi-byte UTF-8 sequence
+    is a newline, so the file decodes as a whole exactly when each line
+    decodes alone: the file is checked one line at a time."""
+    with open(path, "rb") as fh:
+        for lineno, line in enumerate(fh, 1):
+            try:
+                line.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                return GalleryFormatError(f"{path}:{lineno}: not valid UTF-8: {exc.reason}")
+    return GalleryFormatError(f"{path}: not valid UTF-8")

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import InputContractError
+from .errors import InputContractError, utf8_error
 from .gallery import FLOAT_FORMAT, Embedding, Gallery
 from .metrics import rates_at, roc_auc, roc_sweep
 from .optimizer import AdaptConfig, _adapt_built, optimize_f1
@@ -166,8 +166,8 @@ def run_incremental(
     state = None
     rows: list[ExperimentRow] = []
     for idx, label in enumerate(labels):
-        for emb in source.embeddings_of(label):
-            gallery.register(label, emb.vector)
+        embs = source.embeddings_of(label)
+        gallery.register_rows([label] * len(embs), [e.vector for e in embs])
         step = idx + 1
         if step < 2:
             continue
@@ -216,7 +216,7 @@ def generate_synthetic(spec: SynthSpec, path=None) -> Gallery:
         v = center + spec.within_spread * rng.standard_normal((k, spec.dimension))
         # np.linalg.norm of one row is the BLAS dot that vecdot takes per row
         v = v / np.sqrt(np.vecdot(v, v))[:, None]
-        gallery._register_rows([f"id{i:04d}"] * k, None, v)
+        gallery.register_rows([f"id{i:04d}"] * k, v)
     if path is not None:
         gallery.save(path)
     return gallery
@@ -306,13 +306,17 @@ def export(data, path) -> None:
 
 
 def read_rows(path) -> list[ExperimentRow]:
-    """Parse rows written by :func:`export` (CSV or JSON)."""
+    """Parse rows written by :func:`export` (CSV or JSON). A file that is not
+    valid UTF-8 raises :class:`GalleryFormatError`."""
     path = Path(path)
-    with open(path, newline="", encoding="utf-8") as fh:
-        if path.suffix.lower() == ".json":
-            records = json.load(fh)
-        else:
-            records = list(csv.DictReader(fh))
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            if path.suffix.lower() == ".json":
+                records = json.load(fh)
+            else:
+                records = list(csv.DictReader(fh))
+    except UnicodeDecodeError as exc:
+        raise utf8_error(path) from exc
     columns = list(zip(ROW_COLUMNS, _ROW_CONVERTERS))
     return [
         ExperimentRow(*(convert(rec[col]) for col, convert in columns)) for rec in records

@@ -18,6 +18,7 @@ from .errors import (
     EmptyGalleryError,
     GalleryFormatError,
     InputContractError,
+    utf8_error,
 )
 from .similarity import unit_rows, unit_vector
 
@@ -60,7 +61,7 @@ class Gallery:
     """Mutable store of identity-labeled embeddings of one fixed dimension.
 
     Single-writer, multiple-reader: mutations serialize on an internal lock
-    and bump ``change_counter``; readers should work from ``snapshot()`` so
+    and bump ``change_counter``; readers should work from ``unit_rows()`` so
     they always see one consistent version.
 
     Beside the raw embeddings (which ``save`` and ``snapshot`` hand out) the
@@ -128,30 +129,35 @@ class Gallery:
     def register(self, identity: str, vector, instance_id: str | None = None) -> str:
         """Store one embedding under ``identity``; returns its instance id.
 
-        The identity is created on first use. Explicit instance ids (used by
-        the file loader) must be strings, unique across the gallery.
+        The one-row case of :meth:`register_rows`.
         """
-        # before np.asarray, so a bad label wins over an unparsable vector
-        if not _is_label(identity):
-            raise InputContractError("identity label must be a non-empty string")
-        v = np.asarray(vector, dtype=np.float64)
         ids = None if instance_id is None else [instance_id]
-        return self._register_rows([identity], ids, v[None])[0]
+        return self.register_rows([identity], [vector], ids)[0]
 
-    def _register_rows(self, labels: list, ids: list | None, block: np.ndarray) -> list[str]:
-        """Store row ``k`` of the float64 ``block`` under ``labels[k]`` and
-        ``ids[k]`` (fresh ids when ``ids`` is None); returns the instance ids.
+    def register_rows(self, labels, block, instance_ids=None) -> list[str]:
+        """Store row ``k`` of ``block`` under ``labels[k]``; returns the
+        instance ids. Identities are created on first use.
 
-        All or nothing: the labels, the shape, the rows (:func:`unit_rows`)
-        and then the ids, each a string found neither in the gallery nor
-        earlier in ``ids``, are checked before anything is stored, and the
-        whole block is stored under one hold of the lock. Each embedding
-        holds a copy of its row, never a view of ``block``.
+        ``instance_ids`` gives row ``k`` the id ``instance_ids[k]``; by
+        default each row gets a fresh one. All or nothing: the labels, the
+        shape, the rows (:func:`unit_rows`) and then the ids, each a string
+        found neither in the gallery nor earlier in ``instance_ids``, are
+        checked before anything is stored, and the whole block is stored
+        under one hold of the lock. Each embedding holds a copy of its row,
+        never a view of ``block``.
         """
+        if isinstance(labels, str):
+            raise InputContractError("labels must be a sequence of labels, one per row")
+        labels = list(labels)
+        # before np.asarray, so a bad label wins over an unparsable row
         if not all(map(_is_label, labels)):
             raise InputContractError("identity label must be a non-empty string")
+        block = np.asarray(block, dtype=np.float64)
         if block.shape[1:] != (self.dimension,):
             raise _shape_error(self.dimension, block.shape[1:])
+        ids = None if instance_ids is None else list(instance_ids)
+        if len(block) != len(labels) or (ids is not None and len(ids) != len(labels)):
+            raise InputContractError("need one label and one instance id per row")
         unit = unit_rows(block)
         with self._lock:
             if ids is None:
@@ -317,13 +323,20 @@ class Gallery:
 
     @classmethod
     def load(cls, path) -> "Gallery":
-        """Read a gallery saved by :meth:`save` (or any file in those formats)."""
+        """Read a gallery saved by :meth:`save` (or any file in those formats).
+
+        A malformed file, one that is not valid UTF-8 included, raises
+        :class:`GalleryFormatError`.
+        """
         path = Path(path)
         if not path.exists():
             raise InputContractError(f"no such file: {path}")
-        if path.suffix.lower() == ".json":
-            return cls._load_json(path)
-        return cls._load_csv(path)
+        try:
+            if path.suffix.lower() == ".json":
+                return cls._load_json(path)
+            return cls._load_csv(path)
+        except UnicodeDecodeError as exc:
+            raise utf8_error(path) from exc
 
     @classmethod
     def _load_csv(cls, path: Path) -> "Gallery":
@@ -459,7 +472,7 @@ class _Chunk:
         self.labels, self.ids, self.linenos = [], [], []
         block = self.block[: len(labels)]
         try:
-            self.gallery._register_rows(labels, ids, block)
+            self.gallery.register_rows(labels, block, ids)
         except (TypeError, ValueError):
             # nothing was stored: the rows one at a time name the first bad line
             for label, instance_id, row, lineno in zip(labels, ids, block, linenos):

@@ -67,21 +67,6 @@ def _require_samples(dist: SimilarityDistributions) -> None:
         raise InputContractError("need at least one auto and one cross sample")
 
 
-def count_at_least(
-    dist: SimilarityDistributions, thresholds: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """(tp, fp): how many auto and how many cross samples reach each threshold.
-
-    A sample equal to the threshold predicts positive. Binary search over the
-    sorted sides, which is exactly equivalent to a direct scan.
-    """
-    _require_samples(dist)
-    auto, cross = dist.auto_samples, dist.cross_samples
-    tp = auto.size - np.searchsorted(auto, thresholds, side="left")
-    fp = cross.size - np.searchsorted(cross, thresholds, side="left")
-    return tp, fp
-
-
 def _ratio(num: np.ndarray, den: np.ndarray) -> np.ndarray:
     return np.divide(num, den, out=np.zeros_like(num), where=den > 0.0)
 
@@ -108,9 +93,14 @@ def rates_at(
     if np.isnan(thresholds).any():
         # every comparison with NaN is false, so it would silently count nothing
         raise InputContractError("thresholds must not be NaN")
-    tp, fp = (c.astype(np.float64) for c in count_at_least(dist, thresholds))
-    fn = dist.auto_samples.size - tp
-    tn = dist.cross_samples.size - fp
+    _require_samples(dist)
+    # a sample equal to the threshold predicts positive; a binary search over
+    # each sorted side counts exactly what a direct scan would
+    auto, cross = dist.auto_samples, dist.cross_samples
+    tp = (auto.size - np.searchsorted(auto, thresholds, side="left")).astype(np.float64)
+    fp = (cross.size - np.searchsorted(cross, thresholds, side="left")).astype(np.float64)
+    fn = auto.size - tp
+    tn = cross.size - fp
     precision = _ratio(tp, tp + fp)
     recall = _ratio(tp, tp + fn)
     tpr_den = tp + fp if tpr_denominator == "paper" else tp + fn
@@ -155,11 +145,6 @@ def metrics_at(
             threshold=float(threshold),
         ),
     )
-
-
-def confusion_at(dist: SimilarityDistributions, threshold: float) -> ConfusionCounts:
-    """Count predictions at ``threshold``; samples equal to it predict positive."""
-    return metrics_at(dist, threshold).counts
 
 
 def roc_auc(dist: SimilarityDistributions) -> float:

@@ -124,14 +124,14 @@ def _scan_best(
 ) -> tuple[float, float]:
     """Exact maximizer of a piecewise-constant score.
 
-    Every plateau intersecting [lo, hi] gets one candidate (the bounds plus
+    Every plateau intersecting [lo, hi] gets a candidate (the bounds plus
     each in-bound sample value), so the scan is exhaustive. The candidates
     are scored ``_SWEEP_CHUNK`` at a time, with ``lo`` in the first chunk and
     ``hi`` in the last, so the working memory is one chunk's rates on top of
     ``values``. Ties go to the lowest plateau; the winner is reported at its
     plateau midpoint.
     """
-    # values is ascending and distinct: the in-bound ones are a contiguous view
+    # values is ascending: the in-bound ones are a contiguous view
     inner = values[np.searchsorted(values, lo, "right") : np.searchsorted(values, hi, "left")]
     chunks = max(1, -(-inner.size // _SWEEP_CHUNK))
     x, score = lo, -math.inf
@@ -156,12 +156,15 @@ def _scan_best(
     return x, score
 
 
-def _distinct_values(dist: SimilarityDistributions) -> np.ndarray:
-    """The distinct values of both sample sides, ascending: what
-    ``np.unique`` gives for their concatenation. Both sides are already
-    sorted, so a stable sort merges the two runs in linear time."""
-    merged = np.sort(np.concatenate((dist.auto_samples, dist.cross_samples)), kind="stable")
-    return merged[np.concatenate(([True], merged[1:] != merged[:-1]))]
+def _sorted_values(dist: SimilarityDistributions) -> np.ndarray:
+    """The samples of both sides in one ascending array, sorted in place:
+    the sweep's only array as long as the samples. Values both sides share
+    stay repeated; a repeat is scored as often as it occurs and gives the
+    same score each time. Both sides are already sorted, so a stable sort
+    merges the two runs in linear time."""
+    merged = np.concatenate((dist.auto_samples, dist.cross_samples))
+    merged.sort(kind="stable")
+    return merged
 
 
 def _optimize(
@@ -172,7 +175,7 @@ def _optimize(
     if dist.auto_samples.size == 0 or dist.cross_samples.size == 0:
         raise InputContractError("need at least one auto and one cross sample")
     lo, hi = _search_bounds(dist, config)
-    values = _distinct_values(dist)
+    values = _sorted_values(dist)
 
     def score_fn(thresholds: np.ndarray) -> np.ndarray:
         return score(rates_at(dist, thresholds, config.epsilon, config.tpr_denominator))
@@ -201,17 +204,6 @@ def optimize_tpr_fpr_gap(
     return _optimize(dist, config or AdaptConfig(), lambda r: np.abs(r.tpr - r.fpr))
 
 
-def tpr_fpr_objective(
-    dist: SimilarityDistributions,
-    threshold: float,
-    epsilon: float = 1e-9,
-    tpr_denominator: str = "standard",
-) -> float:
-    """|TPR - FPR| at one threshold (Youden-style separation gap)."""
-    m = metrics_at(dist, threshold, epsilon, tpr_denominator)
-    return abs(m.tpr - m.fpr)
-
-
 def select_threshold(
     lambda_candidate: float,
     f1_candidate: float,
@@ -229,22 +221,13 @@ def select_threshold(
     """
     if not 0.0 <= lambda_candidate <= 1.0:
         raise InputContractError("candidate threshold must lie in [0, 1]")
-    if f1_candidate >= config.tau or f1_candidate >= state.f1_current:
-        return ThresholdState(
-            lambda_current=float(lambda_candidate),
-            lambda_old=state.lambda_current,
-            f1_current=float(f1_candidate),
-            f1_old=state.f1_current,
-            provenance="optimized",
-            gallery_version=state.gallery_version,
-            tau=config.tau,
-        )
+    accept = f1_candidate >= config.tau or f1_candidate >= state.f1_current
     return ThresholdState(
-        lambda_current=state.lambda_current,
+        lambda_current=float(lambda_candidate) if accept else state.lambda_current,
         lambda_old=state.lambda_current,
-        f1_current=state.f1_current,
+        f1_current=float(f1_candidate) if accept else state.f1_current,
         f1_old=state.f1_current,
-        provenance="retained_old",
+        provenance="optimized" if accept else "retained_old",
         gallery_version=state.gallery_version,
         tau=config.tau,
     )

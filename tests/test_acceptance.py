@@ -15,7 +15,6 @@ from adathresh import (
     SimilarityDistributions,
     SynthSpec,
     adapt,
-    confusion_at,
     export,
     gaussian_pdf,
     generate_synthetic,
@@ -121,7 +120,7 @@ def test_criterion_3_confusion_partition_and_monotonicity():
             )
             prev_tp = prev_fp = None
             for lam in np.linspace(-1.05, 1.05, 101):
-                c = confusion_at(dist, float(lam))
+                c = metrics_at(dist, float(lam)).counts
                 assert c.tp + c.fn == na
                 assert c.fp + c.tn == nc
                 if prev_tp is not None:

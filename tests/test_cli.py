@@ -370,6 +370,44 @@ def test_every_text_file_is_utf8(tmp_path):
     assert done.returncode == 0, done.stderr
 
 
+
+@pytest.mark.parametrize(
+    "command, flag",
+    [
+        ("adapt", "--gallery"),
+        ("adapt", "--config"),
+        ("simulate", "--embeddings"),
+        ("simulate-stream", "--gallery"),
+        ("simulate-stream", "--queries"),
+        ("roc", "--embeddings"),
+    ],
+)
+def test_a_byte_that_is_not_utf8_exits_2(synth_file, tmp_path, capsys, command, flag):
+    config = tmp_path / "config.json"
+    config.write_text('{\n"tau": 0.85}\n', encoding="utf-8")
+    files = {"--gallery": synth_file, "--embeddings": synth_file, "--queries": synth_file}
+    files["--config"] = config
+    bad = tmp_path / f"bad{files[flag].suffix}"
+    # a Latin-1 byte at the start of line 2
+    bad.write_bytes(files[flag].read_bytes().replace(b"\n", b"\n\xe9", 1))
+    files[flag] = bad
+    args = {
+        "adapt": ["--gallery", files["--gallery"], "--config", files["--config"]],
+        "simulate": ["--embeddings", files["--embeddings"], "--out", tmp_path / "rows.csv"],
+        "simulate-stream": [
+            "--gallery", files["--gallery"], "--queries", files["--queries"],
+            "--threshold", "0.5",
+        ],
+        "roc": ["--embeddings", files["--embeddings"], "--out", tmp_path / "roc.csv"],
+    }[command]
+    assert main([command, *map(str, args)]) == EXIT_CONTRACT
+    err = capsys.readouterr().err
+    if flag == "--config":
+        assert err.startswith("error: cannot read config file: 'utf-8' codec can't decode")
+    else:
+        assert err.startswith(f"error: {bad}:2: not valid UTF-8")
+
+
 class TestSimulateStream:
     def test_stream_with_auto_register(self, synth_file, tmp_path):
         queries = tmp_path / "queries.csv"

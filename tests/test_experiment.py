@@ -13,6 +13,7 @@ from adathresh import (
     AdaptConfig,
     ExperimentRow,
     Gallery,
+    GalleryFormatError,
     InputContractError,
     SimilarityDistributions,
     SynthSpec,
@@ -343,6 +344,17 @@ class TestExport:
         path = tmp_path / "rows.json"
         export(rows, path)
         assert read_rows(path) == rows
+
+    @pytest.mark.parametrize("name", ["rows.csv", "rows.json"])
+    def test_a_byte_that_is_not_utf8_is_a_format_error(self, tmp_path, name):
+        path = tmp_path / name
+        export(self.make_rows(), path)
+        data = path.read_bytes()
+        at = data.index(b"fixed@0.3")
+        path.write_bytes(data[:at] + b"\xff" + data[at:])
+        line = data.count(b"\n", 0, at) + 1
+        with pytest.raises(GalleryFormatError, match=rf"{name}:{line}: not valid UTF-8"):
+            read_rows(path)
 
     def test_csv_header_order(self, tmp_path):
         path = tmp_path / "rows.csv"

@@ -219,12 +219,71 @@ class TestBlockRegistration:
         g = gallery()
         before = state(g)
         with pytest.raises(InputContractError) as info:
-            g._register_rows(labels, ids, block)
+            g.register_rows(labels, block, ids)
         assert type(info.value) is type(expected.value)
         assert str(info.value) == str(expected.value)
         assert state(g) == before
         # no fresh id was drawn either
         assert g.register("z", [0, 0, 1]) == gallery().register("z", [0, 0, 1])
+
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        stored=st.integers(0, 3),
+        rows=st.lists(
+            st.tuples(
+                st.sampled_from(["a", "b", "c"]),
+                st.lists(wide_floats, min_size=3, max_size=3).filter(any),
+            ),
+            max_size=6,
+        ),
+        explicit=st.booleans(),
+    )
+    def test_a_block_is_its_rows_one_at_a_time(self, stored, rows, explicit):
+        def gallery():
+            g = Gallery(3)
+            for k in range(stored):
+                g.register(f"p{k % 2}", [1.0, float(k), 0.0])
+            return g
+
+        labels = [label for label, _ in rows]
+        block = np.array([v for _, v in rows], dtype=np.float64).reshape(-1, 3)
+        ids = [f"b{k}" for k in range(len(rows))] if explicit else None
+        one_by_one = gallery()
+        expected = [
+            one_by_one.register(label, row, None if ids is None else ids[k])
+            for k, (label, row) in enumerate(zip(labels, block))
+        ]
+        g = gallery()
+        assert g.register_rows(labels, block, ids) == expected
+        assert (g.change_counter, g.registrations_since_adapt) == (
+            one_by_one.change_counter,
+            one_by_one.registrations_since_adapt,
+        )
+        version, unit, row_labels = g.unit_rows()
+        expected_version, expected_unit, expected_labels = one_by_one.unit_rows()
+        assert (version, row_labels) == (expected_version, expected_labels)
+        assert unit.tobytes() == expected_unit.tobytes()
+        with tempfile.TemporaryDirectory() as tmp:
+            g.save(Path(tmp) / "block.csv")
+            one_by_one.save(Path(tmp) / "rows.csv")
+            assert (Path(tmp) / "block.csv").read_bytes() == (Path(tmp) / "rows.csv").read_bytes()
+
+    @pytest.mark.parametrize(
+        "labels, rows, ids",
+        [
+            (["a"], 2, None),
+            (["a", "b"], 1, None),
+            (["a", "b"], 2, ["x"]),
+            ("ab", 2, None),
+        ],
+        ids=["fewer labels", "more labels", "fewer ids", "one string"],
+    )
+    def test_counts_must_agree(self, labels, rows, ids):
+        g = two_identity_gallery()
+        with pytest.raises(InputContractError):
+            g.register_rows(labels, np.ones((rows, 3)), ids)
+        assert (len(g), g.change_counter) == (3, 3)
 
 
 class TestRemove:
@@ -664,6 +723,60 @@ class TestPersistence:
         with tempfile.TemporaryDirectory() as tmp:
             for name in ("g.csv", "g.json"):
                 self.round_trip(g, Path(tmp) / name)
+
+    @pytest.mark.parametrize("name", ["g.csv", "g.json"])
+    def test_a_byte_that_is_not_utf8_is_a_format_error(self, tmp_path, name):
+        g = Gallery(2)
+        g.register("é", [1.0, 0.0])
+        g.register("b", [0.0, 1.0])
+        path = tmp_path / name
+        g.save(path)
+        data = path.read_bytes()
+        # the label b, after a label that is valid UTF-8 of two bytes
+        label = b'"b"' if name.endswith("json") else b"\nb,"
+        at = data.index(label) + 1
+        line = data.count(b"\n", 0, at) + 1
+        path.write_bytes(data[:at] + b"\xe9" + data[at + 1 :])
+        with pytest.raises(GalleryFormatError, match=rf"{name}:{line}: not valid UTF-8"):
+            Gallery.load(path)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        suffix=st.sampled_from([".csv", ".json"]),
+        edits=st.lists(
+            st.tuples(
+                st.sampled_from(["truncate", "flip", "delete", "insert"]),
+                st.integers(0, 2**16),
+                st.integers(0, 255),
+            ),
+            min_size=1,
+            max_size=3,
+        ),
+    )
+    def test_a_damaged_file_loads_or_raises_a_format_error(self, suffix, edits):
+        g = Gallery(3)
+        g.register('a,"é', [1.0, 2.0, 3.5e-300])
+        g.register("#b", [0.1, -2.0, 3.0], instance_id="x\ny")
+        g.register("c", [1e300, 2.0, 3.0])
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / f"g{suffix}"
+            g.save(path)
+            data = bytearray(path.read_bytes())
+            for op, position, byte in edits:
+                i = position % (len(data) + 1)
+                if op == "truncate":
+                    del data[i:]
+                elif op == "insert":
+                    data.insert(i, byte)
+                elif i < len(data) and op == "delete":
+                    del data[i]
+                elif i < len(data):
+                    data[i] ^= 1 << byte % 8
+            path.write_bytes(data)
+            try:
+                Gallery.load(path)
+            except GalleryFormatError:
+                pass
 
 
 def per_float_csv(gallery, path):

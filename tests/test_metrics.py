@@ -9,7 +9,6 @@ from adathresh import (
     InputContractError,
     SimilarityDistributions,
     build_distributions,
-    confusion_at,
     metrics_at,
     roc_auc,
     roc_sweep,
@@ -30,31 +29,33 @@ def random_dist(rng, max_n=60):
 
 
 class TestConfusionAt:
+    """The confusion counts at one threshold, ``metrics_at(...).counts``."""
+
     def test_perfectly_separated(self):
-        c = confusion_at(SimilarityDistributions([0.9], [0.1]), 0.5)
+        c = metrics_at(SimilarityDistributions([0.9], [0.1]), 0.5).counts
         assert (c.tp, c.fn, c.fp, c.tn) == (1, 0, 0, 1)
 
     def test_everything_positive_at_minus_one(self):
         dist = SimilarityDistributions([0.2, 0.6, 0.8], [0.1, 0.3, 0.7])
-        c = confusion_at(dist, -1.0)
+        c = metrics_at(dist, -1.0).counts
         assert (c.tp, c.fp, c.fn, c.tn) == (3, 3, 0, 0)
 
     def test_three_by_three(self):
-        c = confusion_at(THREE_V_THREE, 0.5)
+        c = metrics_at(THREE_V_THREE, 0.5).counts
         assert (c.tp, c.fn, c.fp, c.tn) == naive_confusion(
             [0.2, 0.6, 0.8], [0.1, 0.3, 0.7], 0.5
         )
         assert (c.tp, c.fn, c.fp, c.tn) == (2, 1, 1, 2)
 
     def test_boundary_counts_positive(self):
-        c = confusion_at(SimilarityDistributions([0.5], [0.5]), 0.5)
+        c = metrics_at(SimilarityDistributions([0.5], [0.5]), 0.5).counts
         assert (c.tp, c.fp, c.fn, c.tn) == (1, 1, 0, 0)
 
     def test_empty_side_rejected(self):
         with pytest.raises(InputContractError):
-            confusion_at(SimilarityDistributions([], [0.1]), 0.5)
+            metrics_at(SimilarityDistributions([], [0.1]), 0.5)
         with pytest.raises(InputContractError):
-            confusion_at(SimilarityDistributions([0.9], []), 0.5)
+            metrics_at(SimilarityDistributions([0.9], []), 0.5)
 
     def test_partition_and_monotonicity(self):
         rng = np.random.default_rng(50)
@@ -62,7 +63,7 @@ class TestConfusionAt:
             dist = random_dist(rng)
             prev_tp = prev_fp = None
             for lam in np.linspace(-1.1, 1.1, 45):
-                c = confusion_at(dist, float(lam))
+                c = metrics_at(dist, float(lam)).counts
                 assert c.tp + c.fn == dist.auto_samples.size
                 assert c.fp + c.tn == dist.cross_samples.size
                 if prev_tp is not None:
@@ -182,7 +183,7 @@ class TestRocSweep:
         na = dist.auto_samples.size
         nc = dist.cross_samples.size
         for fpr, tpr, lam in roc.points[1:-1]:
-            c = confusion_at(dist, lam)
+            c = metrics_at(dist, lam).counts
             assert tpr == c.tp / (c.tp + c.fn + 1e-9)
             assert fpr == c.fp / (c.fp + c.tn + 1e-9)
             assert c.tp + c.fn == na and c.fp + c.tn == nc

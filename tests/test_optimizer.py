@@ -1,3 +1,4 @@
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -23,10 +24,9 @@ from adathresh import (
     optimize_tpr_fpr_gap,
     roc_auc,
     select_threshold,
-    tpr_fpr_objective,
 )
 from adathresh import optimizer
-from adathresh.optimizer import _distinct_values
+from adathresh.optimizer import _sorted_values
 from conftest import (
     clustered_gallery,
     large_sweep_samples,
@@ -121,6 +121,27 @@ class TestOptimizeF1:
         assert f1 == oracle.max()
         assert metrics_at(SimilarityDistributions(auto, cross), lam).f1 == f1
 
+    @pytest.mark.parametrize("tied", [False, True], ids=["distinct", "tied"])
+    def test_sweep_holds_one_array_of_the_samples(self, tied):
+        rng = np.random.default_rng(7)
+        auto, cross = rng.normal(0.7, 0.1, 400), rng.normal(0.3, 0.1, 120_000)
+        if tied:
+            # about 6,200 distinct values: nearly every sample repeats one
+            auto, cross = np.round(auto, 4), np.round(cross, 4)
+        dist = SimilarityDistributions(auto, cross)
+        tracemalloc.start()
+        try:
+            lam, f1 = optimize_f1(dist)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the 963 KB of samples once, plus one chunk's rates
+        assert peak <= 1_500_000
+        # the sweep over each distinct value once finds the same bits
+        distinct = np.unique(np.concatenate([auto, cross]))
+        with mock.patch.object(optimizer, "_sorted_values", lambda d: distinct):
+            assert optimize_f1(dist) == (lam, f1)
+
 
 # sample values with ties, duplicates across the two sides, and values
 # outside [0, 1]
@@ -157,8 +178,8 @@ def test_sweep_is_exact_on_every_plateau(
     auto, cross, objective, bound_mode, tpr_denominator, chunk
 ):
     dist = SimilarityDistributions(auto, cross)
-    # the candidates: every distinct value once, merged from the sorted sides
-    assert np.array_equal(_distinct_values(dist), np.unique(np.concatenate([auto, cross])))
+    # the candidates: every sample of both sides, repeats kept, in one sorted array
+    assert np.array_equal(_sorted_values(dist), np.sort(np.concatenate([auto, cross])))
     config = AdaptConfig(
         objective=objective, bound_mode=bound_mode, tpr_denominator=tpr_denominator
     )
@@ -182,7 +203,8 @@ def test_sweep_is_exact_on_every_plateau(
             naive_gap(auto, cross, t, eps, tpr_denominator)
             for t in plateau_candidates(auto, cross, lo, hi)
         )
-        assert tpr_fpr_objective(dist, lam, eps, tpr_denominator) == score
+        m = metrics_at(dist, lam, eps, tpr_denominator)
+        assert abs(m.tpr - m.fpr) == score
     assert score == oracle
     assert lo <= lam <= hi
 
@@ -251,25 +273,19 @@ def test_f1_adaptation_never_retains(
 
 
 class TestTprFprObjective:
-    def test_perfect_separation(self):
-        dist = SimilarityDistributions([0.8, 0.9], [0.1, 0.2])
-        assert tpr_fpr_objective(dist, 0.5) == pytest.approx(1.0, abs=1e-8)
-
-    def test_below_all_samples(self):
-        dist = SimilarityDistributions([0.8, 0.9], [0.1, 0.2])
-        assert tpr_fpr_objective(dist, -1.0) == pytest.approx(0.0, abs=1e-8)
-
-    def test_three_by_three(self):
-        assert tpr_fpr_objective(THREE_V_THREE, 0.5) == pytest.approx(1 / 3, abs=1e-8)
-
     def test_gap_optimizer_beats_pointwise_probes(self):
         rng = np.random.default_rng(74)
+
+        def gap(dist, lam):
+            m = metrics_at(dist, lam)
+            return abs(m.tpr - m.fpr)
+
         for _ in range(20):
             dist = random_dist(rng)
-            lam, gap = optimize_tpr_fpr_gap(dist)
-            assert gap == pytest.approx(tpr_fpr_objective(dist, lam), abs=1e-15)
+            lam, best = optimize_tpr_fpr_gap(dist)
+            assert best == pytest.approx(gap(dist, lam), abs=1e-15)
             for probe in rng.uniform(0, 1, size=25):
-                assert gap >= tpr_fpr_objective(dist, float(probe)) - 1e-12
+                assert best >= gap(dist, float(probe)) - 1e-12
 
 
 def make_state(lam=0.4, f1=0.6, version=0, tau=0.8):
