@@ -7,7 +7,7 @@ import logging
 import math
 import operator
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Literal
+from typing import TYPE_CHECKING, Callable, Iterator, Literal
 
 import numpy as np
 
@@ -104,67 +104,81 @@ def _search_bounds(dist: SimilarityDistributions, config: AdaptConfig) -> tuple[
     return 0.0, 1.0
 
 
-def _plateau_midpoint(values: np.ndarray, x: float, lo: float, hi: float) -> float:
+def _plateau_midpoint(
+    sides: tuple[np.ndarray, ...], x: float, lo: float, hi: float
+) -> float:
     """Midpoint of the constant-score interval containing x, clipped to [lo, hi].
 
     The score only changes where a sample value sits, so it is constant on
-    each half-open interval (v_k, v_{k+1}].
+    each half-open interval (v_k, v_{k+1}] between neighbouring values of
+    the sorted ``sides`` taken together.
     """
-    j = int(np.searchsorted(values, x, side="left"))
-    left = float(values[j - 1]) if j > 0 else -math.inf
-    right = float(values[j]) if j < values.size else math.inf
+    left, right = -math.inf, math.inf
+    for values in sides:
+        j = int(np.searchsorted(values, x, side="left"))
+        if j > 0:
+            left = max(left, float(values[j - 1]))
+        if j < values.size:
+            right = min(right, float(values[j]))
     return 0.5 * (max(left, lo) + min(right, hi))
 
 
+def _candidate_chunks(
+    sides: tuple[np.ndarray, ...], lo: float, hi: float
+) -> Iterator[np.ndarray]:
+    """One candidate per plateau intersecting [lo, hi]: the two bounds, then
+    each in-bound value of each ascending side. A side's values come as
+    views of at most ``_SWEEP_CHUNK``; consecutive pieces that fit in one
+    chunk together are packed into one array, so a small sweep is one
+    chunk."""
+    pieces = [np.array([lo, hi])]
+    for values in sides:
+        # ascending: the in-bound values are a contiguous view
+        inner = values[
+            np.searchsorted(values, lo, "right") : np.searchsorted(values, hi, "left")
+        ]
+        pieces.extend(
+            inner[k : k + _SWEEP_CHUNK] for k in range(0, inner.size, _SWEEP_CHUNK)
+        )
+    run, size = [], 0
+    for piece in pieces:
+        if run and size + piece.size > _SWEEP_CHUNK:
+            yield run[0] if len(run) == 1 else np.concatenate(run)
+            run, size = [], 0
+        run.append(piece)
+        size += piece.size
+    yield run[0] if len(run) == 1 else np.concatenate(run)
+
+
 def _scan_best(
-    values: np.ndarray,
+    sides: tuple[np.ndarray, ...],
     score_fn: Callable[[np.ndarray], np.ndarray],
     lo: float,
     hi: float,
 ) -> tuple[float, float]:
     """Exact maximizer of a piecewise-constant score.
 
-    Every plateau intersecting [lo, hi] gets a candidate (the bounds plus
-    each in-bound sample value), so the scan is exhaustive. The candidates
-    are scored ``_SWEEP_CHUNK`` at a time, with ``lo`` in the first chunk and
-    ``hi`` in the last, so the working memory is one chunk's rates on top of
-    ``values``. Ties go to the lowest plateau; the winner is reported at its
-    plateau midpoint.
+    Every plateau intersecting [lo, hi] gets a candidate, so the scan is
+    exhaustive. The candidates are scored a chunk at a time
+    (:func:`_candidate_chunks`), so the working memory is one chunk's rates
+    and never a copy of the samples. A value both sides hold is scored
+    twice, with the same score. Ties go to the lowest plateau; the winner
+    is reported at its plateau midpoint.
     """
-    # values is ascending: the in-bound ones are a contiguous view
-    inner = values[np.searchsorted(values, lo, "right") : np.searchsorted(values, hi, "left")]
-    chunks = max(1, -(-inner.size // _SWEEP_CHUNK))
     x, score = lo, -math.inf
-    for k in range(chunks):
-        candidates = np.concatenate(
-            (
-                [lo] if k == 0 else [],
-                inner[k * _SWEEP_CHUNK : (k + 1) * _SWEEP_CHUNK],
-                [hi] if k == chunks - 1 else [],
-            )
-        )
+    for candidates in _candidate_chunks(sides, lo, hi):
         scores = score_fn(candidates)
-        i = int(np.argmax(scores))
-        # strictly greater: an equal score in a later chunk lies on a higher plateau
-        if scores[i] > score:
-            x, score = float(candidates[i]), float(scores[i])
-    mid = _plateau_midpoint(values, x, lo, hi)
+        best = scores.max()
+        # a packed chunk is not sorted: take the lowest candidate scoring best
+        s, t = float(best), float(candidates[scores == best].min())
+        if s > score or (s == score and t < x):
+            x, score = t, s
+    mid = _plateau_midpoint(sides, x, lo, hi)
     mid_score = float(score_fn(np.array([mid]))[0])
     if mid_score >= score:
         return mid, mid_score
     # midpoint rounded out of the plateau (sub-ulp interval); keep the eval point
     return x, score
-
-
-def _sorted_values(dist: SimilarityDistributions) -> np.ndarray:
-    """The samples of both sides in one ascending array, sorted in place:
-    the sweep's only array as long as the samples. Values both sides share
-    stay repeated; a repeat is scored as often as it occurs and gives the
-    same score each time. Both sides are already sorted, so a stable sort
-    merges the two runs in linear time."""
-    merged = np.concatenate((dist.auto_samples, dist.cross_samples))
-    merged.sort(kind="stable")
-    return merged
 
 
 def _optimize(
@@ -175,12 +189,11 @@ def _optimize(
     if dist.auto_samples.size == 0 or dist.cross_samples.size == 0:
         raise InputContractError("need at least one auto and one cross sample")
     lo, hi = _search_bounds(dist, config)
-    values = _sorted_values(dist)
 
     def score_fn(thresholds: np.ndarray) -> np.ndarray:
         return score(rates_at(dist, thresholds, config.epsilon, config.tpr_denominator))
 
-    return _scan_best(values, score_fn, lo, hi)
+    return _scan_best((dist.auto_samples, dist.cross_samples), score_fn, lo, hi)
 
 
 def optimize_f1(

@@ -64,13 +64,31 @@ def unit_vector(v: np.ndarray) -> np.ndarray:
     return unit_rows(v[None])[0]
 
 
+def _held_as_is(side) -> bool:
+    """True for a side kept without a copy: a 1-D, read-only, ascending
+    float64 array of finite values that owns its data, such as the ones
+    :func:`build_distributions` hands over. Any other side is copied, so a
+    caller's array is never sorted or frozen in place."""
+    return (
+        isinstance(side, np.ndarray)
+        and side.dtype == np.float64
+        and side.ndim == 1
+        and side.flags.owndata
+        and not side.flags.writeable
+        # ascending fails on any NaN, so only the ends can be infinite
+        and bool((side[:-1] <= side[1:]).all())
+        and (not side.size or bool(np.isfinite(side[[0, -1]]).all()))
+    )
+
+
 @dataclass(frozen=True, eq=False)
 class SimilarityDistributions:
     """Auto (same-identity) and cross (different-identity) best-similarity samples.
 
     Each side is held once, sorted and read-only: sample order carries no
-    meaning. Two distributions are equal when their gallery versions are
-    equal and both sides hold the same values.
+    meaning. A side that is already so is kept as it is, and any other side
+    is sorted into a copy. Two distributions are equal when their gallery
+    versions are equal and both sides hold the same values.
     """
 
     auto_samples: np.ndarray
@@ -79,12 +97,16 @@ class SimilarityDistributions:
 
     def __post_init__(self):
         for name in ("auto_samples", "cross_samples"):
-            side = np.asarray(getattr(self, name), dtype=np.float64)
-            if side.ndim != 1 or not np.isfinite(side).all():
-                raise InputContractError(f"{name} must be a flat array of finite values")
-            side = np.sort(side)
-            side.flags.writeable = False
-            object.__setattr__(self, name, side)
+            side = getattr(self, name)
+            if not _held_as_is(side):
+                side = np.asarray(side, dtype=np.float64)
+                if side.ndim != 1 or not np.isfinite(side).all():
+                    raise InputContractError(
+                        f"{name} must be a flat array of finite values"
+                    )
+                side = np.sort(side)
+                side.flags.writeable = False
+                object.__setattr__(self, name, side)
 
     @property
     def estimable(self) -> bool:
@@ -130,16 +152,19 @@ def _pairs_from_identities(
             j += 1
         band = unit[b_lo : spans[j - 1][1]] @ unit[b_lo:].T
         np.clip(band, -1.0, 1.0, out=band)
-        rel = [(lo - b_lo, hi - b_lo) for lo, hi in spans[i:]]
-        for k, (lo, hi) in enumerate(rel[: j - i]):
+        for k in range(i, j):
+            lo, hi = spans[k][0] - b_lo, spans[k][1] - b_lo
             rows = band[lo:hi]
             if hi - lo >= 2:
                 # pairing an instance with itself always scores 1.0; only
-                # distinct-instance pairs carry information
-                auto[a] = rows[:, lo:hi][~np.eye(hi - lo, dtype=bool)].max()
+                # distinct-instance pairs carry information, so the self
+                # pairs are masked in place (no other pair reads them)
+                self_pairs = np.arange(lo, hi)
+                band[self_pairs, self_pairs] = -np.inf
+                auto[a] = rows[:, lo:hi].max()
                 a += 1
-            for lo_j, hi_j in rel[k + 1 :]:
-                cross[c] = rows[:, lo_j:hi_j].max()
+            for lo_j, hi_j in spans[k + 1 :]:
+                cross[c] = rows[:, lo_j - b_lo : hi_j - b_lo].max()
                 c += 1
         # free this band before the next one is computed
         del band, rows
@@ -156,19 +181,26 @@ def build_distributions(gallery: "Gallery") -> SimilarityDistributions:
     need Gaussian estimates should check ``estimable`` first.
     """
     version, rows, labels = gallery.unit_rows()
-    # a stable sort keeps each identity's rows in registration order
-    order = sorted(range(len(labels)), key=labels.__getitem__)
+    # rows already in sorted-label order are read in place, not gathered
+    if any(a > b for a, b in zip(labels, labels[1:])):
+        # a stable sort keeps each identity's rows in registration order
+        order = sorted(range(len(labels)), key=labels.__getitem__)
+        labels = [labels[k] for k in order]
+        rows = rows[order]
     spans = []
     lo = 0
-    for _, group in groupby(order, key=labels.__getitem__):
+    for _, group in groupby(labels):
         hi = lo + sum(1 for _ in group)
         spans.append((lo, hi))
         lo = hi
     if len(spans) < 2:
         raise InputContractError("need at least 2 identities to form cross pairs")
-    auto, cross = _pairs_from_identities(rows[order], spans)
+    auto, cross = _pairs_from_identities(rows, spans)
     if not auto.size:
         logger.warning(
             "no identity has two or more embeddings: auto distribution is empty"
         )
+    for side in (auto, cross):
+        side.sort()
+        side.flags.writeable = False
     return SimilarityDistributions(auto, cross, version)

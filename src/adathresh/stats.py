@@ -31,6 +31,29 @@ class IntersectionResult:
     quadratic_coeffs: tuple[float, float, float]
 
 
+# Samples per leaf of the variance sum: the deviations are formed one leaf at
+# a time, never for the whole side at once. At least 128, numpy's pairwise
+# block, below which numpy no longer halves a run.
+_VAR_LEAF = 65536
+
+
+def _sum_sq_dev(arr: np.ndarray, mu: float) -> float:
+    """``sum((arr - mu) ** 2)`` with the bits of ``np.var``'s sum.
+
+    numpy sums floats pairwise: it halves a run at a multiple of 8 and adds
+    the sums of the halves. Splitting the same way down to runs of at most
+    ``_VAR_LEAF`` and summing each run's squared deviations with
+    ``np.add.reduce`` adds the same numbers in the same order, while only
+    one run's deviations are held at a time.
+    """
+    n = arr.size
+    if n <= _VAR_LEAF:
+        dev = arr - mu
+        return float(np.add.reduce(np.multiply(dev, dev, out=dev)))
+    half = n // 2 - n // 2 % 8
+    return _sum_sq_dev(arr[:half], mu) + _sum_sq_dev(arr[half:], mu)
+
+
 def estimate_gaussian(samples) -> GaussianEstimate:
     """Fit a descriptive Gaussian: sample mean and population (1/n) deviation.
 
@@ -43,7 +66,7 @@ def estimate_gaussian(samples) -> GaussianEstimate:
     if arr.size < 2:
         raise DegenerateDataError(f"need at least 2 samples, got {arr.size}")
     mu = float(arr.mean())
-    nu = float(arr.var())
+    nu = _sum_sq_dev(arr, mu) / arr.size
     if nu == 0.0:
         raise DegenerateDataError("all samples identical: zero variance")
     return GaussianEstimate(mu=mu, sigma=math.sqrt(nu), nu=nu, n=int(arr.size))

@@ -1,6 +1,7 @@
 """Shared fixtures and naive oracles (pure-Python, independent of the library
 code paths they check)."""
 
+import bisect
 import math
 
 import numpy as np
@@ -52,6 +53,10 @@ def naive_confusion(auto, cross, threshold):
 
 def naive_f1(auto, cross, threshold) -> float:
     tp, fp, fn, _ = naive_confusion(auto, cross, threshold)
+    return f1_from_counts(tp, fp, fn)
+
+
+def f1_from_counts(tp, fp, fn) -> float:
     precision = tp / (tp + fp) if tp + fp else 0.0
     recall = tp / (tp + fn) if tp + fn else 0.0
     if precision + recall == 0.0:
@@ -69,6 +74,38 @@ def plateau_candidates(auto, cross, lo=0.0, hi=1.0):
     """One threshold per plateau: both bounds plus every in-bound sample value."""
     values = sorted(set(float(s) for s in auto) | set(float(s) for s in cross))
     return [lo] + [v for v in values if lo < v < hi] + [hi]
+
+
+def plateau_optimum(auto, cross, score, lo=0.0, hi=1.0) -> tuple[float, float]:
+    """(threshold, score) an exact sweep must return, by enumeration: the
+    best score over the plateau candidates, reported at the midpoint of the
+    lowest plateau that reaches it, or at that plateau's candidate when the
+    midpoint rounds out of the plateau. ``score`` maps a list of thresholds
+    to a list of scores."""
+    candidates = plateau_candidates(auto, cross, lo, hi)
+    scores = score(candidates)
+    best = max(scores)
+    x = candidates[scores.index(best)]
+    values = sorted(set(float(s) for s in auto) | set(float(s) for s in cross))
+    # the plateau (left, right] holding x, clipped to [lo, hi]
+    k = bisect.bisect_left(values, x)
+    left = values[k - 1] if k > 0 else -math.inf
+    right = values[k] if k < len(values) else math.inf
+    mid = 0.5 * (max(left, lo) + min(right, hi))
+    return (mid, best) if score([mid])[0] >= best else (x, best)
+
+
+def f1_by_counts(auto, cross):
+    """A ``plateau_optimum`` scorer for f1 at any sample count: the counts at
+    or above each threshold come from a binary search of each sorted side."""
+    auto, cross = np.sort(auto), np.sort(cross)
+
+    def score(thresholds):
+        tp = auto.size - np.searchsorted(auto, thresholds, side="left")
+        fp = cross.size - np.searchsorted(cross, thresholds, side="left")
+        return [f1_from_counts(t, f, auto.size - t) for t, f in zip(tp.tolist(), fp.tolist())]
+
+    return score
 
 
 def plateau_oracle_max(auto, cross, lo=0.0, hi=1.0) -> float:

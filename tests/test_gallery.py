@@ -678,6 +678,37 @@ class TestPersistence:
         g = Gallery.load(path)
         assert g.change_counter == 1  # behaves as freshly registered
 
+    def test_csv_cut_at_a_row_boundary_loads_the_rows_it_holds(self, tmp_path):
+        # the rule: a CSV cut after any whole row reads as a shorter file
+        # without the counter trailer, as a hand-written one is. Its rows
+        # load, and the counters are those of registering them afresh.
+        rng = np.random.default_rng(64)
+        g = Gallery(3)
+        for i in range(6):
+            g.register(f"id{i % 2}", rng.standard_normal(3))
+        g.remove(g.embeddings_of("id0")[0].instance_id)
+        g.mark_adapted()
+        path = tmp_path / "g.csv"
+        g.save(path)
+        lines = path.read_bytes().splitlines(keepends=True)
+        assert lines[-2:] == [b"# change_counter=7\n", b"# registrations_since_adapt=0\n"]
+        saved = [
+            (e.identity, e.instance_id, e.vector.tobytes())
+            for label in g.identities
+            for e in g.embeddings_of(label)
+        ]
+        for keep in range(len(saved) + 1):
+            cut = tmp_path / f"cut{keep}.csv"
+            cut.write_bytes(b"".join(lines[: 1 + keep]))
+            loaded = Gallery.load(cut)
+            assert [
+                (e.identity, e.instance_id, e.vector.tobytes())
+                for label in loaded.identities
+                for e in loaded.embeddings_of(label)
+            ] == saved[:keep]
+            assert loaded.change_counter == keep
+            assert loaded.registrations_since_adapt == keep
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(InputContractError):
             Gallery.load(tmp_path / "absent.csv")

@@ -26,13 +26,13 @@ from adathresh import (
     select_threshold,
 )
 from adathresh import optimizer
-from adathresh.optimizer import _sorted_values
 from conftest import (
     clustered_gallery,
+    f1_by_counts,
     large_sweep_samples,
     naive_f1,
     naive_gap,
-    plateau_candidates,
+    plateau_optimum,
     plateau_oracle_max,
 )
 
@@ -122,7 +122,7 @@ class TestOptimizeF1:
         assert metrics_at(SimilarityDistributions(auto, cross), lam).f1 == f1
 
     @pytest.mark.parametrize("tied", [False, True], ids=["distinct", "tied"])
-    def test_sweep_holds_one_array_of_the_samples(self, tied):
+    def test_sweep_holds_no_copy_of_the_samples(self, tied):
         rng = np.random.default_rng(7)
         auto, cross = rng.normal(0.7, 0.1, 400), rng.normal(0.3, 0.1, 120_000)
         if tied:
@@ -135,12 +135,10 @@ class TestOptimizeF1:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # the 963 KB of samples once, plus one chunk's rates
-        assert peak <= 1_500_000
-        # the sweep over each distinct value once finds the same bits
-        distinct = np.unique(np.concatenate([auto, cross]))
-        with mock.patch.object(optimizer, "_sorted_values", lambda d: distinct):
-            assert optimize_f1(dist) == (lam, f1)
+        # one chunk's rates (about 0.44 MB), under one copy of the 963 KB of
+        # samples
+        assert peak <= 600_000
+        assert (lam, f1) == plateau_optimum(auto, cross, f1_by_counts(auto, cross))
 
 
 # sample values with ties, duplicates across the two sides, and values
@@ -165,7 +163,7 @@ SAMPLES = st.lists(
     chunk=st.sampled_from([1, 2, 3]),
 )
 # the top plateau (0.8, 1] ties (0.2, 0.6] at gap 0.5: the tie must go to the
-# lower one although hi is scored in a later chunk
+# lower one although hi is scored first
 @example(
     auto=[0.6, 0.8],
     cross=[0.2, 1.25],
@@ -178,8 +176,6 @@ def test_sweep_is_exact_on_every_plateau(
     auto, cross, objective, bound_mode, tpr_denominator, chunk
 ):
     dist = SimilarityDistributions(auto, cross)
-    # the candidates: every sample of both sides, repeats kept, in one sorted array
-    assert np.array_equal(_sorted_values(dist), np.sort(np.concatenate([auto, cross])))
     config = AdaptConfig(
         objective=objective, bound_mode=bound_mode, tpr_denominator=tpr_denominator
     )
@@ -196,16 +192,20 @@ def test_sweep_is_exact_on_every_plateau(
         lam, score = optimize(dist, config)
     assert (lam, score) == optimize(dist, config)
     if objective == "f1":
-        oracle = max(naive_f1(auto, cross, t) for t in plateau_candidates(auto, cross, lo, hi))
         assert metrics_at(dist, lam, eps, tpr_denominator).f1 == score
+
+        def naive(ts):
+            return [naive_f1(auto, cross, t) for t in ts]
+
     else:
-        oracle = max(
-            naive_gap(auto, cross, t, eps, tpr_denominator)
-            for t in plateau_candidates(auto, cross, lo, hi)
-        )
         m = metrics_at(dist, lam, eps, tpr_denominator)
         assert abs(m.tpr - m.fpr) == score
-    assert score == oracle
+
+        def naive(ts):
+            return [naive_gap(auto, cross, t, eps, tpr_denominator) for t in ts]
+
+    # the best score, at the midpoint of the lowest plateau reaching it
+    assert (lam, score) == plateau_optimum(auto, cross, naive, lo, hi)
     assert lo <= lam <= hi
 
 

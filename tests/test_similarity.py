@@ -13,6 +13,7 @@ from adathresh import (
     InputContractError,
     SimilarityDistributions,
     ZeroVectorError,
+    adapt,
     build_distributions,
     optimize_f1,
 )
@@ -190,6 +191,96 @@ def test_banded_build_matches_brute_force(band_rows, sizes, seed):
     assert dist.cross_samples == pytest.approx(sorted(cross), abs=1e-12)
 
 
+def sized_gallery(sizes, dim=8, seed=0, shuffle=False) -> Gallery:
+    """Identity ``f"id{i:04d}"`` holds ``sizes[i]`` rows around a center of
+    its own; the rows are registered in label order, or in a random order
+    when ``shuffle``."""
+    rng = np.random.default_rng(seed)
+    labels = [f"id{i:04d}" for i, k in enumerate(sizes) for _ in range(k)]
+    centers = rng.standard_normal((len(sizes), dim))
+    block = np.repeat(centers, sizes, axis=0) + 0.5 * rng.standard_normal((len(labels), dim))
+    order = rng.permutation(len(labels)) if shuffle else np.arange(len(labels))
+    g = Gallery(dim)
+    g.register_rows([labels[k] for k in order], block[order])
+    return g
+
+
+def spans_of(sizes) -> list[tuple[int, int]]:
+    bounds = np.cumsum([0, *sizes]).tolist()
+    return list(zip(bounds[:-1], bounds[1:]))
+
+
+def build_reading(g):
+    """``build_distributions(g)`` and the unit rows its kernel was given."""
+    given, real = [], similarity._pairs_from_identities
+
+    def spy(unit, spans):
+        given.append(unit)
+        return real(unit, spans)
+
+    with mock.patch.object(similarity, "_pairs_from_identities", spy):
+        dist = build_distributions(g)
+    return dist, given[0]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    sizes=st.lists(st.integers(1, 5), min_size=2, max_size=10),
+    shuffle=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_rows_in_label_order_are_read_in_place(sizes, shuffle, seed):
+    g = sized_gallery(sizes, seed=seed, shuffle=shuffle)
+    _, rows, labels = g.unit_rows()
+    # a stable sort keeps each identity's rows in registration order
+    order = sorted(range(len(labels)), key=labels.__getitem__)
+    in_order = order == list(range(len(labels)))
+    dist, read = build_reading(g)
+    assert np.shares_memory(read, rows) == in_order
+    assert read.tobytes() == rows[order].tobytes()
+    # every sample keeps the bits of the kernel over the gathered rows
+    auto, cross = similarity._pairs_from_identities(rows[order], spans_of(sizes))
+    assert dist.auto_samples.tobytes() == np.sort(auto).tobytes()
+    assert dist.cross_samples.tobytes() == np.sort(cross).tobytes()
+
+
+def test_built_sides_are_held_without_a_copy(make_gallery):
+    g = make_gallery(num_identities=5, per_identity=3, seed=4)
+    dist = build_distributions(g)
+    for side in (dist.auto_samples, dist.cross_samples):
+        # the kernel's own arrays, sorted in place: no sorted copy
+        assert side.flags.owndata and not side.flags.writeable
+    kept = SimilarityDistributions(dist.auto_samples, dist.cross_samples)
+    assert kept.auto_samples is dist.auto_samples
+    assert kept.cross_samples is dist.cross_samples
+
+
+def test_adapt_holds_one_band_and_one_copy_of_the_samples():
+    # long-tailed like LFW: mostly singletons, a few identities far above a
+    # band's row budget. A budget of 16 rows keeps the band, not the
+    # samples, small, as at LFW's scale. The largest identity sorts first,
+    # so the first band is the largest: its 70 rows against every row.
+    rng = np.random.default_rng(3)
+    rest = [2] * 60 + [3] * 30 + [6] * 20 + [15] * 6 + [40] * 3 + [1] * 400
+    sizes = [70, *rng.permutation(rest).tolist()]
+    g = sized_gallery(sizes, dim=16, seed=3)
+    with mock.patch.object(similarity, "_BAND_ROWS", 16):
+        adapt(g)  # warm-up: lazy imports and caches
+        tracemalloc.start()
+        try:
+            adapt(g)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+    band = 70 * sum(sizes) * 8
+    auto = sum(1 for k in sizes if k >= 2)
+    cross = len(sizes) * (len(sizes) - 1) // 2
+    samples = (auto + cross) * 8
+    # a second copy of the samples, even without the band, would not fit
+    assert 2 * samples > band + 1.1 * samples
+    assert peak <= band + 1.1 * samples
+
+
 def test_build_memory_is_a_fraction_of_the_gram(make_gallery):
     g = make_gallery(num_identities=500, per_identity=4, dim=8, seed=2)
     build_distributions(g)  # warm-up: lazy imports and caches
@@ -205,7 +296,7 @@ def test_build_memory_is_a_fraction_of_the_gram(make_gallery):
 
 def test_sweep_memory_is_a_few_sample_arrays():
     # scoring every candidate in one rates_at call peaks at about 15 sample
-    # arrays; in chunks, the merge into distinct values (about 2) dominates
+    # arrays; in chunks over views of the sides, one chunk's rates
     auto, cross = large_sweep_samples()
     dist = SimilarityDistributions(auto, cross)
     optimize_f1(dist)  # warm-up: lazy imports and caches
@@ -241,6 +332,35 @@ class TestSimilarityDistributionsEquality:
         assert auto.tolist() == [0.3, 0.1, 0.2]  # the caller's array is not touched
         with pytest.raises(ValueError):
             d.auto_samples[0] = 0.9
+
+    @staticmethod
+    def frozen(values, dtype=np.float64):
+        side = np.array(values, dtype=dtype)
+        side.flags.writeable = False
+        return side
+
+    def test_only_a_frozen_ascending_float64_array_is_kept(self):
+        kept = self.frozen([0.1, 0.2, 0.2, 0.3])
+        assert SimilarityDistributions(kept, [0.5]).auto_samples is kept
+        owner = np.array([0.1, 0.2, 0.3])
+        for side in (
+            np.array([0.1, 0.2, 0.3]),  # writeable
+            self.frozen([0.3, 0.1, 0.2]),  # not ascending
+            self.frozen([0.1, 0.2, 0.3], np.float32),
+            self.frozen(owner)[1:],  # a view: another array owns the data
+        ):
+            d = SimilarityDistributions(side, [0.5])
+            assert d.auto_samples is not side
+            assert d.auto_samples.tolist() == sorted(side.tolist())
+            assert not d.auto_samples.flags.writeable
+        assert owner.flags.writeable
+
+    @pytest.mark.parametrize(
+        "side", [[-math.inf, 0.1], [0.1, math.inf], [math.inf], [0.1, math.nan]]
+    )
+    def test_a_frozen_side_is_checked_for_finite_values(self, side):
+        with pytest.raises(InputContractError):
+            SimilarityDistributions(self.frozen(side), [0.5])
 
     @pytest.mark.parametrize(
         "auto, cross",

@@ -1,7 +1,11 @@
 import math
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from adathresh import (
     DegenerateDataError,
@@ -13,6 +17,7 @@ from adathresh import (
     initialize_threshold,
     intersect_gaussians,
 )
+from adathresh import stats
 
 
 def bisect_intersection(g1, g2, lo, hi, iters=200):
@@ -58,6 +63,33 @@ class TestEstimateGaussian:
             g = estimate_gaussian(rng.uniform(-1, 1, size=rng.integers(2, 40)))
             assert g.nu == pytest.approx(g.sigma**2, rel=1e-12)
             assert g.sigma > 0 and g.n >= 2
+
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        n=st.integers(2, 3000),
+        leaf=st.sampled_from([128, 129, 1000]),
+        scale=st.floats(1e-3, 1e3),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_fit_has_the_bits_of_numpy_mean_and_var(self, n, leaf, scale, seed):
+        # a small leaf splits even a short side as a long one is split
+        x = np.random.default_rng(seed).normal(0.3, 0.1, n) * scale
+        with mock.patch.object(stats, "_VAR_LEAF", leaf):
+            g = estimate_gaussian(x)
+        assert (g.mu, g.nu) == (float(x.mean()), float(x.var()))
+
+    def test_fit_of_a_long_side_holds_one_leaf_of_deviations(self):
+        x = np.random.default_rng(5).uniform(-0.2, 0.9, 1_000_003)
+        tracemalloc.start()
+        try:
+            g = estimate_gaussian(x)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert (g.mu, g.nu) == (float(x.mean()), float(x.var()))
+        # one leaf of deviations (0.5 MB), not a copy of the 8 MB side
+        assert peak <= 2 * stats._VAR_LEAF * 8
 
 
 class TestGaussianPdf:
