@@ -46,7 +46,6 @@ from .optimizer import (
     adapt,
     maybe_adapt,
     optimize_f1,
-    optimize_tpr_fpr_gap,
     select_threshold,
 )
 from .similarity import SimilarityDistributions, build_distributions
@@ -97,7 +96,6 @@ __all__ = [
     "maybe_adapt",
     "metrics_at",
     "optimize_f1",
-    "optimize_tpr_fpr_gap",
     "read_rows",
     "roc_auc",
     "roc_export",

@@ -25,9 +25,6 @@ EXIT_OK = 0
 EXIT_CONTRACT = 2
 EXIT_DEGENERATE = 3
 
-_OBJECTIVES = {"f1": "f1", "tpr-fpr-gap": "tpr_fpr_gap"}
-_BOUNDS = {"unbounded": "unbounded_01", "means": "means_bounded"}
-
 
 def _config_flags(parser: argparse.ArgumentParser, adapts: bool) -> None:
     """The AdaptConfig flags a subcommand reads: every command reads
@@ -36,8 +33,6 @@ def _config_flags(parser: argparse.ArgumentParser, adapts: bool) -> None:
     parser.add_argument("--epsilon", type=float, help="division guard (default 1e-9)")
     if adapts:
         parser.add_argument("--tau", type=float, help="target f1 (default 0.8)")
-        parser.add_argument("--objective", choices=sorted(_OBJECTIVES))
-        parser.add_argument("--bound", choices=sorted(_BOUNDS))
         parser.add_argument("--tpr-denominator", choices=["standard", "paper"])
 
 
@@ -63,10 +58,6 @@ def _build_config(args) -> AdaptConfig:
         "epsilon": getattr(args, "epsilon", None),
         "tpr_denominator": getattr(args, "tpr_denominator", None),
     }
-    if getattr(args, "objective", None) is not None:
-        overrides["objective"] = _OBJECTIVES[args.objective]
-    if getattr(args, "bound", None) is not None:
-        overrides["bound_mode"] = _BOUNDS[args.bound]
     values.update({k: v for k, v in overrides.items() if v is not None})
     try:
         return AdaptConfig(**values)

@@ -148,6 +148,8 @@ class Gallery:
         """
         if isinstance(labels, str):
             raise InputContractError("labels must be a sequence of labels, one per row")
+        if isinstance(instance_ids, str):
+            raise InputContractError("instance_ids must be a sequence of ids, one per row")
         labels = list(labels)
         # before np.asarray, so a bad label wins over an unparsable row
         if not all(map(_is_label, labels)):
@@ -373,8 +375,9 @@ class Gallery:
                 if len(row) != gallery.dimension + 2:
                     chunk.flush()  # an earlier row's error comes first
                     raise GalleryFormatError(
-                        f"{path}:{lineno}: row has {len(row) - 2} values, "
-                        f"expected {gallery.dimension}"
+                        f"{path}:{lineno}: row has {len(row)} fields, expected "
+                        f"{gallery.dimension + 2} (identity, instance_id, "
+                        f"{gallery.dimension} values)"
                     )
                 try:
                     vector = [float(x) for x in row[2:]]

@@ -7,12 +7,12 @@ import logging
 import math
 import operator
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Iterator, Literal
+from typing import TYPE_CHECKING, Iterator, Literal
 
 import numpy as np
 
 from .errors import DegenerateDataError, InputContractError
-from .metrics import Rates, metrics_at, rates_at
+from .metrics import metrics_at, rates_at
 from .similarity import SimilarityDistributions, build_distributions
 from .stats import _threshold_with_source, estimate_gaussian, intersect_gaussians
 
@@ -33,16 +33,14 @@ class AdaptConfig:
     """Tunables for the adaptive threshold pipeline.
 
     ``tau`` is the f1 target that lets adaptation accept the intersection
-    threshold without optimizing. ``objective`` picks what the search
-    maximizes; ``bound_mode`` restricts the search interval to [0, 1] or to
-    the window between the cross and auto means.
+    threshold without optimizing. ``epsilon`` and ``tpr_denominator`` shape
+    only the reported TPR and FPR: an adapted state depends on the samples
+    and ``tau`` alone.
     """
 
     tau: float = 0.8
     epsilon: float = 1e-9
     recompute_every_n: int = 1
-    objective: Literal["f1", "tpr_fpr_gap"] = "f1"
-    bound_mode: Literal["unbounded_01", "means_bounded"] = "unbounded_01"
     tpr_denominator: Literal["standard", "paper"] = "standard"
     # not a field: kept only for the benchmark's grid-floor check on readapt-hard
     grid_points = 512
@@ -63,10 +61,6 @@ class AdaptConfig:
             raise InputContractError("recompute_every_n must be an integer") from exc
         if self.recompute_every_n < 1:
             raise InputContractError("recompute_every_n must be >= 1")
-        if self.objective not in ("f1", "tpr_fpr_gap"):
-            raise InputContractError(f"unknown objective {self.objective!r}")
-        if self.bound_mode not in ("unbounded_01", "means_bounded"):
-            raise InputContractError(f"unknown bound_mode {self.bound_mode!r}")
         if self.tpr_denominator not in ("standard", "paper"):
             raise InputContractError(
                 f"unknown tpr_denominator {self.tpr_denominator!r}"
@@ -86,56 +80,34 @@ class ThresholdState:
     tau: float
 
 
-def _search_bounds(dist: SimilarityDistributions, config: AdaptConfig) -> tuple[float, float]:
-    if config.bound_mode == "means_bounded":
-        lo = float(np.mean(dist.cross_samples))
-        hi = float(np.mean(dist.auto_samples))
-        if hi <= lo:
-            raise InputContractError(
-                "auto mean must exceed cross mean for means-bounded search"
-            )
-        # thresholds live in [0, 1]; the means window narrows it further
-        lo, hi = max(lo, 0.0), min(hi, 1.0)
-        if hi < lo:
-            raise InputContractError(
-                "means-bounded window lies entirely outside [0, 1]"
-            )
-        return lo, hi
-    return 0.0, 1.0
+def _plateau_midpoint(sides: tuple[np.ndarray, ...], x: float) -> float:
+    """Midpoint of the constant-f1 interval containing x, clipped to [0, 1].
 
-
-def _plateau_midpoint(
-    sides: tuple[np.ndarray, ...], x: float, lo: float, hi: float
-) -> float:
-    """Midpoint of the constant-score interval containing x, clipped to [lo, hi].
-
-    The score only changes where a sample value sits, so it is constant on
-    each half-open interval (v_k, v_{k+1}] between neighbouring values of
-    the sorted ``sides`` taken together.
+    f1 only changes where a sample value sits, so it is constant on each
+    half-open interval (v_k, v_{k+1}] between neighbouring values of the
+    sorted ``sides`` taken together.
     """
-    left, right = -math.inf, math.inf
+    left, right = 0.0, 1.0
     for values in sides:
         j = int(np.searchsorted(values, x, side="left"))
         if j > 0:
             left = max(left, float(values[j - 1]))
         if j < values.size:
             right = min(right, float(values[j]))
-    return 0.5 * (max(left, lo) + min(right, hi))
+    return 0.5 * (left + right)
 
 
-def _candidate_chunks(
-    sides: tuple[np.ndarray, ...], lo: float, hi: float
-) -> Iterator[np.ndarray]:
-    """One candidate per plateau intersecting [lo, hi]: the two bounds, then
+def _candidate_chunks(sides: tuple[np.ndarray, ...]) -> Iterator[np.ndarray]:
+    """One candidate per plateau intersecting [0, 1]: the two bounds, then
     each in-bound value of each ascending side. A side's values come as
     views of at most ``_SWEEP_CHUNK``; consecutive pieces that fit in one
     chunk together are packed into one array, so a small sweep is one
     chunk."""
-    pieces = [np.array([lo, hi])]
+    pieces = [np.array([0.0, 1.0])]
     for values in sides:
         # ascending: the in-bound values are a contiguous view
         inner = values[
-            np.searchsorted(values, lo, "right") : np.searchsorted(values, hi, "left")
+            np.searchsorted(values, 0.0, "right") : np.searchsorted(values, 1.0, "left")
         ]
         pieces.extend(
             inner[k : k + _SWEEP_CHUNK] for k in range(0, inner.size, _SWEEP_CHUNK)
@@ -150,71 +122,36 @@ def _candidate_chunks(
     yield run[0] if len(run) == 1 else np.concatenate(run)
 
 
-def _scan_best(
-    sides: tuple[np.ndarray, ...],
-    score_fn: Callable[[np.ndarray], np.ndarray],
-    lo: float,
-    hi: float,
+def optimize_f1(
+    dist: SimilarityDistributions, config: AdaptConfig | None = None
 ) -> tuple[float, float]:
-    """Exact maximizer of a piecewise-constant score.
+    """Threshold in [0, 1] maximizing f1; returns (threshold, f1).
 
-    Every plateau intersecting [lo, hi] gets a candidate, so the scan is
-    exhaustive. The candidates are scored a chunk at a time
+    f1 is piecewise constant (it only changes where a sample value sits),
+    and every plateau intersecting [0, 1] gets a candidate, so the search is
+    exact at every sample size. The candidates are scored a chunk at a time
     (:func:`_candidate_chunks`), so the working memory is one chunk's rates
     and never a copy of the samples. A value both sides hold is scored
-    twice, with the same score. Ties go to the lowest plateau; the winner
-    is reported at its plateau midpoint.
+    twice, with the same f1. Ties go to the lowest plateau; the winner is
+    reported at its plateau midpoint, maximizing margin to both sample
+    populations. f1 does not depend on ``config``'s fields; the argument is
+    accepted for callers that pass one.
     """
-    x, score = lo, -math.inf
-    for candidates in _candidate_chunks(sides, lo, hi):
-        scores = score_fn(candidates)
+    sides = (dist.auto_samples, dist.cross_samples)
+    x, score = 0.0, -math.inf
+    for candidates in _candidate_chunks(sides):
+        scores = rates_at(dist, candidates).f1
         best = scores.max()
         # a packed chunk is not sorted: take the lowest candidate scoring best
         s, t = float(best), float(candidates[scores == best].min())
         if s > score or (s == score and t < x):
             x, score = t, s
-    mid = _plateau_midpoint(sides, x, lo, hi)
-    mid_score = float(score_fn(np.array([mid]))[0])
+    mid = _plateau_midpoint(sides, x)
+    mid_score = float(rates_at(dist, np.array([mid])).f1[0])
     if mid_score >= score:
         return mid, mid_score
     # midpoint rounded out of the plateau (sub-ulp interval); keep the eval point
     return x, score
-
-
-def _optimize(
-    dist: SimilarityDistributions,
-    config: AdaptConfig,
-    score: Callable[[Rates], np.ndarray],
-) -> tuple[float, float]:
-    if dist.auto_samples.size == 0 or dist.cross_samples.size == 0:
-        raise InputContractError("need at least one auto and one cross sample")
-    lo, hi = _search_bounds(dist, config)
-
-    def score_fn(thresholds: np.ndarray) -> np.ndarray:
-        return score(rates_at(dist, thresholds, config.epsilon, config.tpr_denominator))
-
-    return _scan_best((dist.auto_samples, dist.cross_samples), score_fn, lo, hi)
-
-
-def optimize_f1(
-    dist: SimilarityDistributions, config: AdaptConfig | None = None
-) -> tuple[float, float]:
-    """Threshold maximizing f1 over the configured search interval.
-
-    The objective is piecewise constant (it only changes where a sample value
-    sits), so scoring one candidate per plateau is exact at every sample
-    size. Returns (threshold, f1) with the threshold at the midpoint of the
-    winning plateau, maximizing margin to both sample populations.
-    """
-    return _optimize(dist, config or AdaptConfig(), lambda r: r.f1)
-
-
-def optimize_tpr_fpr_gap(
-    dist: SimilarityDistributions, config: AdaptConfig | None = None
-) -> tuple[float, float]:
-    """Threshold maximizing |TPR - FPR|; companion to optimize_f1 for the
-    alternate objective, exact on every plateau in the same way."""
-    return _optimize(dist, config or AdaptConfig(), lambda r: np.abs(r.tpr - r.fpr))
 
 
 def select_threshold(
@@ -227,10 +164,10 @@ def select_threshold(
 
     The candidate wins when its f1 reaches the target ``tau``, or at least
     matches the incumbent's f1; otherwise the incumbent is kept. Either way
-    the incumbent threshold becomes ``lambda_old`` in the new state. Under
-    the f1 objective the candidate is the exact optimum over an interval that
-    contains the intersection incumbent, so it always wins and the rule only
-    records ``lambda_old``/``f1_old``; it can retain only under ``tpr_fpr_gap``.
+    the incumbent threshold becomes ``lambda_old`` in the new state. Inside
+    :func:`adapt` the candidate is the exact f1 optimum over [0, 1], which
+    holds the intersection incumbent, so it always wins there and the rule
+    only records ``lambda_old``/``f1_old``.
     """
     if not 0.0 <= lambda_candidate <= 1.0:
         raise InputContractError("candidate threshold must lie in [0, 1]")
@@ -259,7 +196,7 @@ def _adapt_distributions(
     intersection = intersect_gaussians(auto_g, cross_g)
     lam0, source = _threshold_with_source(intersection, auto_g, cross_g)
     lam0 = min(1.0, max(0.0, lam0))
-    f1_init = metrics_at(dist, lam0, config.epsilon, config.tpr_denominator).f1
+    f1_init = metrics_at(dist, lam0).f1
     incumbent = ThresholdState(
         lambda_current=lam0,
         lambda_old=lam0,
@@ -271,13 +208,7 @@ def _adapt_distributions(
     )
     if f1_init >= config.tau:
         return incumbent
-    if config.objective == "tpr_fpr_gap":
-        candidate, _ = optimize_tpr_fpr_gap(dist, config)
-        candidate_f1 = metrics_at(
-            dist, candidate, config.epsilon, config.tpr_denominator
-        ).f1
-    else:
-        candidate, candidate_f1 = optimize_f1(dist, config)
+    candidate, candidate_f1 = optimize_f1(dist)
     return select_threshold(candidate, candidate_f1, incumbent, config)
 
 

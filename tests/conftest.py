@@ -64,34 +64,29 @@ def f1_from_counts(tp, fp, fn) -> float:
     return 2.0 * precision * recall / (precision + recall)
 
 
-def naive_gap(auto, cross, threshold, epsilon=1e-9, tpr_denominator="standard") -> float:
-    tp, fp, fn, tn = naive_confusion(auto, cross, threshold)
-    tpr_den = (tp + fp if tpr_denominator == "paper" else tp + fn) + epsilon
-    return abs(tp / tpr_den - fp / (fp + tn + epsilon))
-
-
-def plateau_candidates(auto, cross, lo=0.0, hi=1.0):
-    """One threshold per plateau: both bounds plus every in-bound sample value."""
+def plateau_candidates(auto, cross):
+    """One threshold per plateau of [0, 1]: both bounds plus every sample
+    value between them."""
     values = sorted(set(float(s) for s in auto) | set(float(s) for s in cross))
-    return [lo] + [v for v in values if lo < v < hi] + [hi]
+    return [0.0] + [v for v in values if 0.0 < v < 1.0] + [1.0]
 
 
-def plateau_optimum(auto, cross, score, lo=0.0, hi=1.0) -> tuple[float, float]:
+def plateau_optimum(auto, cross, score) -> tuple[float, float]:
     """(threshold, score) an exact sweep must return, by enumeration: the
     best score over the plateau candidates, reported at the midpoint of the
     lowest plateau that reaches it, or at that plateau's candidate when the
     midpoint rounds out of the plateau. ``score`` maps a list of thresholds
     to a list of scores."""
-    candidates = plateau_candidates(auto, cross, lo, hi)
+    candidates = plateau_candidates(auto, cross)
     scores = score(candidates)
     best = max(scores)
     x = candidates[scores.index(best)]
     values = sorted(set(float(s) for s in auto) | set(float(s) for s in cross))
-    # the plateau (left, right] holding x, clipped to [lo, hi]
+    # the plateau (left, right] holding x, clipped to [0, 1]
     k = bisect.bisect_left(values, x)
     left = values[k - 1] if k > 0 else -math.inf
     right = values[k] if k < len(values) else math.inf
-    mid = 0.5 * (max(left, lo) + min(right, hi))
+    mid = 0.5 * (max(left, 0.0) + min(right, 1.0))
     return (mid, best) if score([mid])[0] >= best else (x, best)
 
 
@@ -108,9 +103,9 @@ def f1_by_counts(auto, cross):
     return score
 
 
-def plateau_oracle_max(auto, cross, lo=0.0, hi=1.0) -> float:
-    """Exhaustive maximum f1 over every plateau in [lo, hi]."""
-    return max(naive_f1(auto, cross, t) for t in plateau_candidates(auto, cross, lo, hi))
+def plateau_oracle_max(auto, cross) -> float:
+    """Exhaustive maximum f1 over every plateau in [0, 1]."""
+    return max(naive_f1(auto, cross, t) for t in plateau_candidates(auto, cross))
 
 
 def mann_whitney_auc(auto, cross) -> float:

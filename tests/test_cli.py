@@ -1,6 +1,8 @@
+import argparse
 import csv
 import json
 import os
+import re
 import subprocess
 import sys
 import textwrap
@@ -10,7 +12,7 @@ import numpy as np
 import pytest
 
 from adathresh import Gallery
-from adathresh.cli import EXIT_CONTRACT, EXIT_DEGENERATE, EXIT_OK, main
+from adathresh.cli import EXIT_CONTRACT, EXIT_DEGENERATE, EXIT_OK, _build_parser, main
 
 
 @pytest.fixture
@@ -147,11 +149,18 @@ class TestAdapt:
         assert code == EXIT_CONTRACT
         assert "JSON object" in capsys.readouterr().err
 
-    def test_removed_config_key_exit_2(self, synth_file, tmp_path):
+    def test_removed_config_key_exit_2(self, synth_file, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"tau": 0.85, "refine_iters": 64}))
-        code = main(["adapt", "--gallery", str(synth_file), "--config", str(cfg)])
-        assert code == EXIT_CONTRACT
+        for key, value in [
+            ("refine_iters", 64),
+            ("grid_points", 512),
+            ("objective", "f1"),
+            ("bound_mode", "unbounded_01"),
+        ]:
+            cfg.write_text(json.dumps({"tau": 0.85, key: value}))
+            code = main(["adapt", "--gallery", str(synth_file), "--config", str(cfg)])
+            assert code == EXIT_CONTRACT
+            assert f"unknown config keys: {key}" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "payload, entry",
@@ -318,14 +327,55 @@ class TestRoc:
         ["roc", "--embeddings", "g.csv", "--out", "roc.csv", "--objective", "f1"],
         ["roc", "--embeddings", "g.csv", "--out", "roc.csv", "--bound", "means"],
         ["roc", "--embeddings", "g.csv", "--out", "roc.csv", "--tpr-denominator", "paper"],
+        ["adapt", "--gallery", "g.csv", "--objective", "f1"],
+        ["simulate", "--embeddings", "g.csv", "--out", "r.csv", "--bound", "means"],
     ],
     ids=["adapt-recompute", "simulate-recompute", "roc-recompute", "roc-tau",
-         "roc-objective", "roc-bound", "roc-tpr-denominator"],
+         "roc-objective", "roc-bound", "roc-tpr-denominator", "adapt-objective",
+         "simulate-bound"],
 )
 def test_flag_a_subcommand_does_not_read_exits_2(argv):
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
+
+
+CONFIG_FLAGS = {"--config", "--epsilon", "--tau", "--tpr-denominator"}
+OPTIONS = {
+    "adapt": {"--gallery"} | CONFIG_FLAGS,
+    "simulate": {
+        "--embeddings", "--fixed", "--order", "--seed", "--out", "--summary",
+        "--per-step-roc",
+    } | CONFIG_FLAGS,
+    "synth": {
+        "--identities", "--per-identity", "--dim", "--within", "--between", "--seed",
+        "--out",
+    },
+    "roc": {"--embeddings", "--points", "--out", "--config", "--epsilon"},
+    "simulate-stream": {
+        "--gallery", "--queries", "--threshold", "--auto-register", "--append-matched",
+        "--out", "--save-gallery",
+    },
+}
+
+
+def test_each_subcommand_accepts_exactly_its_options():
+    parser = _build_parser()
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    accepted = {
+        name: {s for a in p._actions for s in a.option_strings} - {"-h", "--help"}
+        for name, p in sub.choices.items()
+    }
+    assert accepted == OPTIONS
+    # the README's table lists each subcommand's AdaptConfig flags
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    table = {}
+    for line in readme.splitlines():
+        if line.startswith("| `") and "|" in line[1:]:
+            names, flags = line.strip("|").split("|")[:2]
+            for name in re.findall(r"`([a-z-]+)`", names):
+                table[name] = set(re.findall(r"`(--[a-z-]+)`", flags))
+    assert table == {name: OPTIONS[name] & CONFIG_FLAGS for name in OPTIONS}
 
 
 _UTF8_SCRIPT = textwrap.dedent(

@@ -276,8 +276,9 @@ class TestBlockRegistration:
             (["a", "b"], 1, None),
             (["a", "b"], 2, ["x"]),
             ("ab", 2, None),
+            (["a", "b"], 2, "xy"),
         ],
-        ids=["fewer labels", "more labels", "fewer ids", "one string"],
+        ids=["fewer labels", "more labels", "fewer ids", "one string", "one id string"],
     )
     def test_counts_must_agree(self, labels, rows, ids):
         g = two_identity_gallery()
@@ -709,6 +710,15 @@ class TestPersistence:
             assert loaded.change_counter == keep
             assert loaded.registrations_since_adapt == keep
 
+    def test_csv_row_cut_to_its_label_names_its_field_count(self, tmp_path):
+        path = tmp_path / "g.csv"
+        path.write_text("identity,instance_id,v0,v1\na,e1,1,2\nb\n")
+        with pytest.raises(GalleryFormatError) as info:
+            Gallery.load(path)
+        assert str(info.value) == (
+            f"{path}:3: row has 1 fields, expected 4 (identity, instance_id, 2 values)"
+        )
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(InputContractError):
             Gallery.load(tmp_path / "absent.csv")
@@ -922,7 +932,11 @@ class TestBatchedPersistence:
             (271, ("", "x", ["1", "0"]), "identity label must be a non-empty string"),
             (272, ("b", "x", ["1", "nan"]), "vector contains non-finite values"),
             (273, ("b", "x", ["1", "zebra"]), "could not convert string to float: 'zebra'"),
-            (274, ("b", "x", ["1"]), "row has 1 values, expected 2"),
+            (
+                274,
+                ("b", "x", ["1"]),
+                "row has 3 fields, expected 4 (identity, instance_id, 2 values)",
+            ),
             # two bad rows in one chunk, the later one's fault checked first
             # for a whole block: the earlier line is named
             (

@@ -21,7 +21,6 @@ from adathresh import (
     maybe_adapt,
     metrics_at,
     optimize_f1,
-    optimize_tpr_fpr_gap,
     roc_auc,
     select_threshold,
 )
@@ -31,7 +30,6 @@ from conftest import (
     f1_by_counts,
     large_sweep_samples,
     naive_f1,
-    naive_gap,
     plateau_optimum,
     plateau_oracle_max,
 )
@@ -78,23 +76,6 @@ class TestOptimizeF1:
             dist = random_dist(rng)
             lam, _ = optimize_f1(dist)
             assert 0.0 <= lam <= 1.0
-
-    def test_means_bounded_restriction(self):
-        rng = np.random.default_rng(72)
-        bounded_cfg = AdaptConfig(bound_mode="means_bounded")
-        checked = 0
-        for _ in range(60):
-            dist = random_dist(rng)
-            if float(np.mean(dist.auto_samples)) <= float(np.mean(dist.cross_samples)):
-                continue
-            _, f1_free = optimize_f1(dist)
-            lam_b, f1_b = optimize_f1(dist, bounded_cfg)
-            assert f1_b <= f1_free
-            lo = max(float(np.mean(dist.cross_samples)), 0.0)
-            hi = min(float(np.mean(dist.auto_samples)), 1.0)
-            assert lo <= lam_b <= hi
-            checked += 1
-        assert checked > 20
 
     def test_empty_side_rejected(self):
         with pytest.raises(InputContractError):
@@ -154,59 +135,25 @@ SAMPLES = st.lists(
 
 
 @settings(max_examples=200, deadline=None)
-@given(
-    auto=SAMPLES,
-    cross=SAMPLES,
-    objective=st.sampled_from(["f1", "tpr_fpr_gap"]),
-    bound_mode=st.sampled_from(["unbounded_01", "means_bounded"]),
-    tpr_denominator=st.sampled_from(["standard", "paper"]),
-    chunk=st.sampled_from([1, 2, 3]),
-)
-# the top plateau (0.8, 1] ties (0.2, 0.6] at gap 0.5: the tie must go to the
-# lower one although hi is scored first
-@example(
-    auto=[0.6, 0.8],
-    cross=[0.2, 1.25],
-    objective="tpr_fpr_gap",
-    bound_mode="unbounded_01",
-    tpr_denominator="standard",
-    chunk=1,
-)
-def test_sweep_is_exact_on_every_plateau(
-    auto, cross, objective, bound_mode, tpr_denominator, chunk
-):
+@given(auto=SAMPLES, cross=SAMPLES, chunk=st.sampled_from([1, 2, 3]))
+# the bounds are scored first, in a chunk of their own: hi's plateau (0.4, 1]
+# ties the lowest winning plateau (0.2, 0.4] at f1 2/3, and the tie must go
+# to the lower one
+@example(auto=[0.4, 1.0], cross=[0.2, 0.4, 0.4], chunk=1)
+def test_sweep_is_exact_on_every_plateau(auto, cross, chunk):
     dist = SimilarityDistributions(auto, cross)
-    config = AdaptConfig(
-        objective=objective, bound_mode=bound_mode, tpr_denominator=tpr_denominator
-    )
-    lo, hi = 0.0, 1.0
-    if bound_mode == "means_bounded":
-        mean_auto = float(np.mean(dist.auto_samples))
-        mean_cross = float(np.mean(dist.cross_samples))
-        lo, hi = max(mean_cross, 0.0), min(mean_auto, 1.0)
-        assume(mean_auto > mean_cross and hi >= lo)
-    eps = config.epsilon
-    optimize = optimize_f1 if objective == "f1" else optimize_tpr_fpr_gap
     # at most 62 candidates: one chunk at the default size, many at the patched
     with mock.patch.object(optimizer, "_SWEEP_CHUNK", chunk):
-        lam, score = optimize(dist, config)
-    assert (lam, score) == optimize(dist, config)
-    if objective == "f1":
-        assert metrics_at(dist, lam, eps, tpr_denominator).f1 == score
+        lam, f1 = optimize_f1(dist)
+    assert (lam, f1) == optimize_f1(dist)
+    assert metrics_at(dist, lam).f1 == f1
 
-        def naive(ts):
-            return [naive_f1(auto, cross, t) for t in ts]
+    def naive(ts):
+        return [naive_f1(auto, cross, t) for t in ts]
 
-    else:
-        m = metrics_at(dist, lam, eps, tpr_denominator)
-        assert abs(m.tpr - m.fpr) == score
-
-        def naive(ts):
-            return [naive_gap(auto, cross, t, eps, tpr_denominator) for t in ts]
-
-    # the best score, at the midpoint of the lowest plateau reaching it
-    assert (lam, score) == plateau_optimum(auto, cross, naive, lo, hi)
-    assert lo <= lam <= hi
+    # the best f1, at the midpoint of the lowest plateau reaching it
+    assert (lam, f1) == plateau_optimum(auto, cross, naive)
+    assert 0.0 <= lam <= 1.0
 
 
 def _outcome(fn, dist):
@@ -230,13 +177,34 @@ def test_results_depend_only_on_sample_values(auto, cross, data):
     permuted = SimilarityDistributions(
         data.draw(st.permutations(auto)), data.draw(st.permutations(cross))
     )
-    checks = [optimize_f1, optimize_tpr_fpr_gap, roc_auc]
-    for objective in ("f1", "tpr_fpr_gap"):
-        for tau in (0.8, 1.0):
-            config = AdaptConfig(tau=tau, objective=objective)
-            checks.append(lambda d, c=config: optimizer._adapt_distributions(d, c))
+    checks = [optimize_f1, roc_auc]
+    for tau in (0.8, 1.0):
+        config = AdaptConfig(tau=tau)
+        checks.append(lambda d, c=config: optimizer._adapt_distributions(d, c))
     for fn in checks:
         assert _outcome(fn, dist) == _outcome(fn, permuted)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    auto=st.lists(st.floats(-0.2, 1.0), min_size=1, max_size=60),
+    cross=st.lists(st.floats(-0.5, 0.9), min_size=1, max_size=60),
+    tau=st.sampled_from([0.5, 0.8, 1.0]),
+)
+def test_adapted_state_depends_only_on_samples_and_tau(auto, cross, tau):
+    # epsilon and tpr_denominator shape only the reported TPR and FPR
+    dist = SimilarityDistributions(auto, cross)
+    outcomes = {
+        _outcome(
+            lambda d: optimizer._adapt_distributions(
+                d, AdaptConfig(tau=tau, epsilon=epsilon, tpr_denominator=denominator)
+            ),
+            dist,
+        )
+        for epsilon in (1e-9, 1e-3, 0.5)
+        for denominator in ("standard", "paper")
+    }
+    assert len(outcomes) == 1
 
 
 @settings(max_examples=100, deadline=None)
@@ -246,15 +214,12 @@ def test_results_depend_only_on_sample_values(auto, cross, data):
     within=st.floats(0.1, 0.8),
     seed=st.integers(0, 2**16),
     tau=st.floats(0.5, 1.0),
-    bound_mode=st.sampled_from(["unbounded_01", "means_bounded"]),
 )
-def test_f1_adaptation_never_retains(
-    num_identities, per_identity, within, seed, tau, bound_mode
-):
-    # under f1 the candidate is the exact optimum over an interval that
-    # contains the intersection incumbent, so it can never lose to it
+def test_f1_adaptation_never_retains(num_identities, per_identity, within, seed, tau):
+    # the candidate is the exact f1 optimum over [0, 1], which contains the
+    # intersection incumbent, so it can never lose to it
     g = clustered_gallery(num_identities, per_identity, dim=8, within=within, seed=seed)
-    config = AdaptConfig(tau=tau, bound_mode=bound_mode)
+    config = AdaptConfig(tau=tau)
     try:
         state = adapt(g, None, config)
     except InputContractError:
@@ -263,29 +228,9 @@ def test_f1_adaptation_never_retains(
     assert state.provenance != "retained_old"
     if state.provenance == "optimized":
         dist = build_distributions(g)
-        lo, hi = 0.0, 1.0
-        if bound_mode == "means_bounded":
-            lo = max(float(np.mean(dist.cross_samples)), 0.0)
-            hi = min(float(np.mean(dist.auto_samples)), 1.0)
         assert state.f1_current == plateau_oracle_max(
-            dist.auto_samples, dist.cross_samples, lo, hi
+            dist.auto_samples, dist.cross_samples
         )
-
-
-class TestTprFprObjective:
-    def test_gap_optimizer_beats_pointwise_probes(self):
-        rng = np.random.default_rng(74)
-
-        def gap(dist, lam):
-            m = metrics_at(dist, lam)
-            return abs(m.tpr - m.fpr)
-
-        for _ in range(20):
-            dist = random_dist(rng)
-            lam, best = optimize_tpr_fpr_gap(dist)
-            assert best == pytest.approx(gap(dist, lam), abs=1e-15)
-            for probe in rng.uniform(0, 1, size=25):
-                assert best >= gap(dist, float(probe)) - 1e-12
 
 
 def make_state(lam=0.4, f1=0.6, version=0, tau=0.8):
@@ -412,13 +357,6 @@ class TestAdapt:
                 assert state.f1_current >= previous_f1
                 previous_f1 = state.f1_current
 
-    def test_gap_objective_pipeline(self):
-        g = clustered_gallery(num_identities=8, per_identity=4, within=0.5, seed=81)
-        config = AdaptConfig(tau=0.999, objective="tpr_fpr_gap")
-        state = adapt(g, None, config)
-        assert state is not None
-        assert 0.0 <= state.lambda_current <= 1.0
-
 
 class TestMaybeAdapt:
     CONFIG = AdaptConfig(recompute_every_n=5, tau=0.95)
@@ -462,26 +400,24 @@ class TestAdaptConfig:
         assert c.tau == 0.8
         assert c.epsilon == 1e-9
         assert c.recompute_every_n == 1
-        assert c.objective == "f1"
-        assert c.bound_mode == "unbounded_01"
+        assert c.tpr_denominator == "standard"
 
+    # each case keeps its id when another is added or taken away
     @pytest.mark.parametrize(
         "kwargs",
         [
-            {"tau": 0.0},
-            {"tau": 1.2},
-            {"epsilon": 0.0},
-            {"recompute_every_n": 0},
-            {"objective": "accuracy"},
-            {"bound_mode": "everything"},
-            {"tpr_denominator": "both"},
-            {"epsilon": float("nan")},
-            {"epsilon": float("inf")},
-            {"recompute_every_n": 2.5},
-            {"recompute_every_n": "3"},
-            {"tau": True},
-            {"epsilon": True},
-            {"recompute_every_n": True},
+            pytest.param({"tau": 0.0}, id="kwargs0"),
+            pytest.param({"tau": 1.2}, id="kwargs1"),
+            pytest.param({"epsilon": 0.0}, id="kwargs2"),
+            pytest.param({"recompute_every_n": 0}, id="kwargs3"),
+            pytest.param({"tpr_denominator": "both"}, id="kwargs6"),
+            pytest.param({"epsilon": float("nan")}, id="kwargs7"),
+            pytest.param({"epsilon": float("inf")}, id="kwargs8"),
+            pytest.param({"recompute_every_n": 2.5}, id="kwargs9"),
+            pytest.param({"recompute_every_n": "3"}, id="kwargs10"),
+            pytest.param({"tau": True}, id="kwargs11"),
+            pytest.param({"epsilon": True}, id="kwargs12"),
+            pytest.param({"recompute_every_n": True}, id="kwargs13"),
         ],
     )
     def test_validation(self, kwargs):

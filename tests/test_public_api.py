@@ -39,7 +39,6 @@ PUBLIC = [
     "maybe_adapt",
     "metrics_at",
     "optimize_f1",
-    "optimize_tpr_fpr_gap",
     "read_rows",
     "roc_auc",
     "roc_export",
