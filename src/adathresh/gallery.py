@@ -5,6 +5,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import numbers
 import operator
 import threading
 from dataclasses import dataclass
@@ -31,6 +32,10 @@ _COUNTERS = ("change_counter", "registrations_since_adapt")
 # rows the CSV loader parses into one float64 buffer before registering them;
 # the parsed floats of a whole file are never held at once
 _LOAD_CHUNK = 256
+
+# float32's unit roundoff: rounding to nearest moves a value by at most this
+# share of its magnitude
+_EPS32 = 2.0**-24
 
 
 def _is_label(identity) -> bool:
@@ -73,6 +78,12 @@ class Gallery:
     took ``_unit``, ``_rows`` and their length under the lock uses them
     unlocked and copies nothing. A registration is all or nothing: every row
     and id of it is checked before any is stored.
+
+    ``_screen`` is a float32 copy of ``_unit``'s rows, of the same capacity,
+    that :meth:`match_query` screens with. The first match makes it (only a
+    gallery that is queried holds one); after that it follows the same
+    discipline: a registration writes its rows into it too, and growth and
+    removal drop it, so the next match makes a new one.
     """
 
     def __init__(self, dimension: int):
@@ -88,6 +99,11 @@ class Gallery:
         self._lock = threading.Lock()
         self._unit = np.empty((0, self.dimension))
         self._rows: list[Embedding] = []
+        self._screen: np.ndarray | None = None
+        # at least twice the largest gap between a row's float32 screen score
+        # and its float64 score (see match_query); past 2**22 dimensions the
+        # bound behind it no longer holds, so every row is re-scored
+        self._margin = 4 * (dimension + 2) * _EPS32 if dimension <= 2**22 else math.inf
 
     def __len__(self) -> int:
         return len(self._ids)
@@ -178,9 +194,11 @@ class Gallery:
             if n + m > self._unit.shape[0]:
                 grown = np.empty((max(16, 2 * self._unit.shape[0], n + m), self.dimension))
                 grown[:n] = self._unit[:n]
-                self._unit = grown
+                self._unit, self._screen = grown, None
             # past the rows any reader took, so no reader sees these rows early
             self._unit[n : n + m] = unit
+            if self._screen is not None:
+                self._screen[n : n + m] = unit
             for label, instance_id, row in zip(labels, ids, block):
                 emb = Embedding(instance_id, label, row.copy())
                 self._rows.append(emb)
@@ -207,6 +225,7 @@ class Gallery:
             unit[:k] = self._unit[:k]
             unit[k : len(rows) - 1] = self._unit[k + 1 : len(rows)]
             self._unit, self._rows = unit, rows[:k] + rows[k + 1 :]
+            self._screen = None
             remaining = [e for e in self._identities[owner] if e.instance_id != instance_id]
             if remaining:
                 self._identities[owner] = remaining
@@ -221,47 +240,87 @@ class Gallery:
         with self._lock:
             self.registrations_since_adapt = 0
 
-    def match_query(self, query_vector, threshold: float) -> MatchResult:
+    def match_query(self, query_vector, threshold) -> MatchResult:
         """Best cosine match across the whole gallery.
 
-        Matches when the best similarity reaches ``threshold`` (a NaN threshold
-        is rejected: it would never match); ties between identities go to the
-        lexicographically smallest label.
+        Matches when the best similarity reaches ``threshold``, a real number
+        that is not a bool (it is taken as a Python float, so ``matched`` is
+        always a Python bool) nor NaN (it would never match); ties between
+        identities go to the lexicographically smallest label.
 
         A query of another shape raises :class:`DimensionMismatchError`;
         :func:`unit_vector` normalises the query (a normal squared norm is
         divided out at once) and raises the error for a non-finite or an
-        all-zero one. ``np.vecdot`` computes the similarities with one BLAS
-        dot call per row. That gives a row the same bits wherever it sits, so
-        a vector stored under two labels ties exactly; BLAS gemv
-        (``unit @ q``) would not, since its bits depend on the row's
-        position, and ``einsum`` is about twice as slow. The top row comes
-        from ``argmax`` and only its score is clipped to [-1, 1]; the tie set
-        is every row whose clipped score equals it, as if each score had been
-        clipped, and the smallest label is looked for only when that set
-        holds more than one row.
+        all-zero one.
+
+        The answer is that of scoring every row with ``np.vecdot`` (one BLAS
+        dot call per row, so a row gets the same bits wherever it sits and a
+        vector stored under two labels ties exactly), clipping each score to
+        [-1, 1] and taking the smallest label among the rows at the maximum.
+        It is found in two steps. A float32 gemv over ``_screen`` scores
+        every row in half the bytes; the rows within ``_margin``, that is
+        ``m = 4 * (d + 2) * 2**-24``, of its maximum are kept, and only they
+        are scored with ``np.vecdot``. For unit rows of dimension ``d <=
+        2**22`` a float32 score is within ``(4/3) * (d + 2) * 2**-24`` of the
+        float64 one: rounding both vectors to float32 moves each product by
+        at most ``2 * 2**-24`` of its magnitude, a float32 dot product of
+        ``d`` terms in any order, FMA or not, is off by at most ``gamma_d =
+        d * 2**-24 / (1 - d * 2**-24)`` times the sum of their magnitudes
+        (Higham, *Accuracy and Stability of Numerical Algorithms*, 2002), and
+        that sum is at most 1 (Cauchy-Schwarz). The float64 error, float32
+        underflow, the float32 rounding of the cut itself and the span of
+        scores that clip to +1 add far less than the slack ``m`` leaves over
+        twice that gap. So the best float64 row, every row that ties it and
+        every row that clips to its score lie within ``m`` of the screen's
+        maximum, and the answer keeps its bits. One kept row is the answer.
+        Of several, the top one comes from ``argmax`` and only its score is
+        clipped; the tie set is every kept row whose score reaches it, and
+        the smallest label is looked for only when that set holds more than
+        one row. At -1 every score clips to -1, so every row of the gallery
+        ties.
         """
+        # a Python float, the usual threshold, skips the abstract-class check
+        if type(threshold) is not float:
+            if isinstance(threshold, (bool, np.bool_)) or not isinstance(threshold, numbers.Real):
+                raise InputContractError(
+                    f"threshold must be a real number, got {type(threshold).__name__}"
+                )
+            threshold = float(threshold)
         if math.isnan(threshold):
             raise InputContractError("threshold must not be NaN")
         with self._lock:
-            unit, rows = self._unit, self._rows
+            unit, rows, screen = self._unit, self._rows, self._screen
             n = len(rows)
+            if screen is None and n:
+                # the rows past n are not initialised: casting them could overflow
+                screen = self._screen = np.empty(unit.shape, dtype=np.float32)
+                screen[:n] = unit[:n]
         if n == 0:
             raise EmptyGalleryError("cannot match against an empty gallery")
         v = np.asarray(query_vector, dtype=np.float64)
         if v.shape != (self.dimension,):
             raise _shape_error(self.dimension, v.shape)
         qn = unit_vector(v)
-        sims = np.vecdot(unit[:n], qn)
-        top = sims.argmax()
-        best_sim = min(1.0, max(-1.0, sims.item(top)))
-        # at -1 every score clips to -1, even one just below it, so all rows tie
-        if best_sim == -1.0:
-            best_label = min(rows[k].identity for k in range(n))
-        elif np.count_nonzero(sims >= best_sim) > 1:
-            best_label = min(rows[k].identity for k in np.flatnonzero(sims >= best_sim))
+        coarse = screen[:n] @ qn.astype(np.float32)
+        lead = coarse.argmax()
+        near = coarse >= coarse[lead] - self._margin
+        if np.count_nonzero(near) == 1:
+            # the usual case: the best row, alone, with no tie to break (at -1
+            # every row would be kept); a 1-D vecdot is the same dot call
+            best_sim = min(1.0, max(-1.0, np.vecdot(unit[lead], qn).item()))
+            best_label = rows[lead].identity
         else:
-            best_label = rows[top].identity
+            keep = np.flatnonzero(near)
+            sims = np.vecdot(unit[keep], qn)
+            top = sims.argmax()
+            best_sim = min(1.0, max(-1.0, sims.item(top)))
+            # at -1 every score clips to -1, even one just below it, so all rows tie
+            if best_sim == -1.0:
+                best_label = min(rows[k].identity for k in range(n))
+            elif np.count_nonzero(sims >= best_sim) > 1:
+                best_label = min(rows[k].identity for k in keep[sims >= best_sim])
+            else:
+                best_label = rows[keep[top]].identity
         matched = best_sim >= threshold
         return MatchResult(
             matched=matched,

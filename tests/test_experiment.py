@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import random
 
@@ -521,6 +522,16 @@ class TestSimulateStream:
         with pytest.raises(InputContractError):
             simulate_stream(g, g.embeddings_of("a"), float("nan"), auto_register=True)
         assert g.change_counter == before
+
+    def test_events_under_a_numpy_threshold_dump_to_json(self):
+        g = self.make_gallery()
+        q = Gallery(3)
+        q.register("query", [0, 0, 1])
+        queries = g.embeddings_of("a") + q.embeddings_of("query")
+        events = simulate_stream(g, queries, np.float64(0.5))
+        assert [e.matched for e in events] == [True, False]
+        assert all(type(e.matched) is bool for e in events)
+        json.dumps([dataclasses.asdict(e) for e in events])
 
     def test_append_matched_policy(self):
         g = self.make_gallery()

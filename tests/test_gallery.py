@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import sys
 import tempfile
@@ -14,12 +15,17 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from adathresh import (
+    AdaptConfig,
     DimensionMismatchError,
     EmptyGalleryError,
     Gallery,
     GalleryFormatError,
     InputContractError,
+    SynthSpec,
     ZeroVectorError,
+    adapt,
+    generate_synthetic,
+    run_incremental,
 )
 import adathresh.gallery
 from adathresh.gallery import FLOAT_FORMAT
@@ -33,6 +39,16 @@ def two_identity_gallery() -> Gallery:
     g.register("a", [0.9, 0.1, 0.0])
     g.register("b", [0.0, 1.0, 0.0])
     return g
+
+
+def clipped_reference(g: Gallery, query) -> tuple[float, str]:
+    """What scoring every row with ``np.vecdot`` and clipping each score gives:
+    the best clipped score and the smallest label among the rows at it."""
+    _, unit, labels = g.unit_rows()
+    raw = np.vecdot(unit, unit_vector(np.asarray(query, dtype=np.float64)))
+    scores = np.clip(raw, -1.0, 1.0)
+    best = float(scores.max())
+    return best, min(label for label, s in zip(labels, scores) if s == best)
 
 
 class TestRegister:
@@ -416,6 +432,27 @@ class TestMatchQuery:
         with pytest.raises(InputContractError):
             g.match_query([1, 0, 0], float("nan"))
 
+    @pytest.mark.parametrize(
+        "threshold",
+        [np.float64(0.5), np.float32(0.5), np.array([0.5, 1.0])[0], np.int64(1), 0.5],
+        ids=["float64", "float32", "array item", "int64", "float"],
+    )
+    def test_a_numeric_threshold_gives_a_python_bool(self, threshold):
+        g = two_identity_gallery()
+        results = [g.match_query(q, threshold) for q in ([1, 0, 0], [0, 0, 1])]
+        assert [r.matched for r in results] == [True, False]
+        assert all(type(r.matched) is bool for r in results)
+        json.dumps([dataclasses.asdict(r) for r in results])
+
+    @pytest.mark.parametrize(
+        "threshold",
+        [None, "0.5", True, np.True_, [0.5], 0.5j],
+        ids=["None", "str", "bool", "numpy bool", "list", "complex"],
+    )
+    def test_threshold_must_be_a_real_number(self, threshold):
+        with pytest.raises(InputContractError, match="threshold must be a real number"):
+            two_identity_gallery().match_query([1, 0, 0], threshold)
+
     def test_query_array_is_not_modified(self):
         g = two_identity_gallery()
         q = np.array([3.0, 4.0, 0.0])
@@ -423,23 +460,53 @@ class TestMatchQuery:
         assert q.tolist() == [3.0, 4.0, 0.0]
 
 
-small_vectors = st.lists(st.integers(-3, 3), min_size=3, max_size=3).filter(any)
-matcher_ops = st.lists(
-    st.one_of(
-        st.tuples(st.just("register"), st.sampled_from("abcd"), small_vectors),
-        st.tuples(st.just("reuse"), st.sampled_from("abcd"), st.integers(0, 50)),
-        st.tuples(st.just("remove"), st.integers(0, 50)),
-        st.tuples(st.just("query"), small_vectors),
-    ),
-    max_size=40,
-)
+def int_vectors(dim: int):
+    return st.lists(st.integers(-3, 3), min_size=dim, max_size=dim).filter(any)
+
+
+small_vectors = int_vectors(3)
+
+
+def matcher_ops(dim: int):
+    return st.lists(
+        st.one_of(
+            st.tuples(st.just("register"), st.sampled_from("abcd"), int_vectors(dim)),
+            st.tuples(st.just("reuse"), st.sampled_from("abcd"), st.integers(0, 50)),
+            st.tuples(st.just("remove"), st.integers(0, 50)),
+            st.tuples(st.just("query"), int_vectors(dim)),
+        ),
+        max_size=40,
+    )
 
 
 class TestMatcherProperty:
     @settings(max_examples=150, deadline=None)
-    @given(matcher_ops)
+    @given(matcher_ops(3))
+    # a query, then a removal from the front: the next query must not score
+    # the rows where they sat before it
+    @example(
+        [
+            ("register", "a", [1, 0, 0]),
+            ("register", "b", [0, 1, 0]),
+            ("register", "c", [0, 0, 1]),
+            ("query", [0, 0, 1]),
+            ("remove", 0),
+            ("query", [0, 1, 0]),
+        ]
+    )
     def test_match_agrees_with_brute_force(self, ops):
-        g = Gallery(3)
+        self.replay(3, ops)
+
+    @settings(max_examples=60, deadline=None)
+    @given(matcher_ops(64))
+    def test_match_agrees_with_brute_force_at_dim_64(self, ops):
+        # growth past 16 rows and every removal drop the float32 screen, so
+        # queries between them run on a screen made anew
+        self.replay(64, ops)
+
+    @staticmethod
+    def replay(dim: int, ops) -> None:
+        g = Gallery(dim)
         stored: dict[str, tuple[str, list[float]]] = {}  # instance id -> (label, vector)
         history: list[list[float]] = []
         for op in ops:
@@ -466,6 +533,7 @@ class TestMatcherProperty:
                 best = max(s for s, _, _ in scored)
                 near = [(label, v) for s, label, v in scored if s >= best - 1e-12]
                 assert r.matched
+                assert (r.best_similarity, r.identity) == clipped_reference(g, op[1])
                 assert r.best_similarity == pytest.approx(best, abs=1e-12)
                 assert r.identity in {label for label, _ in near}
                 if len({v for _, v in near}) == 1:
@@ -555,15 +623,85 @@ class TestScoreKernel:
         if query_scale != 1.0:
             query = np.asarray(query, dtype=np.float64)
             query = query / np.abs(query).max() * query_scale
-        # the reference clips every raw score, then takes the smallest label
-        # among the rows equal to the maximum
-        _, unit, labels = g.unit_rows()
-        raw = np.vecdot(unit, unit_vector(np.asarray(query, dtype=np.float64)))
-        scores = np.clip(raw, -1.0, 1.0)
-        best = float(scores.max())
-        expected = min(label for label, s in zip(labels, scores) if s == best)
         r = g.match_query(query, -1.0)
-        assert (r.best_similarity, r.identity) == (best, expected)
+        assert (r.best_similarity, r.identity) == clipped_reference(g, query)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(2, 512), st.integers(1, 1000), st.data())
+    def test_screen_never_changes_the_answer(self, dim, size, data):
+        # the float32 screen keeps only the rows near its best; the answer
+        # must still be that of scoring every row in float64. Rows a few
+        # float64 ulps from one shared vector round to the same float32 row,
+        # so the screen cannot order them; the shared vector itself under
+        # several labels ties exactly, scaled copies tie with it after
+        # normalising, and a query along a stored row scores at or just past
+        # +-1, where clipping makes ties of its own
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        shared = rng.standard_normal(dim)
+        block = rng.standard_normal((size, dim))
+        kind = rng.integers(0, 4, size)
+        ulps = rng.integers(-4, 5, (np.count_nonzero(kind == 1), dim))
+        block[kind == 1] = shared * (1.0 + ulps * 2.0**-52)
+        block[kind == 2] = shared
+        scales = rng.choice([1e-3, 0.5, 3.0, 1e3], np.count_nonzero(kind == 3))
+        block[kind == 3] = scales[:, None] * shared
+        labels = rng.choice(list("abcd"), size).tolist()
+        g = Gallery(dim)
+        g.register_rows(labels, block)
+        pick = data.draw(st.sampled_from(["random", "shared", "row"]), label="query")
+        if pick == "random":
+            query = rng.standard_normal(dim)
+        else:
+            query = shared if pick == "shared" else block[rng.integers(size)]
+            query = data.draw(st.sampled_from([1.0, -1.0, 7.0, -0.25]), label="scale") * query
+        best, expected = clipped_reference(g, query)
+        at = data.draw(st.sampled_from(["-1", "best", "above best", "0.5"]), label="threshold")
+        threshold = {
+            "-1": -1.0, "best": best, "above best": np.nextafter(best, 2.0), "0.5": 0.5
+        }[at]
+        r = g.match_query(query, threshold)
+        matched = best >= threshold
+        assert (r.matched, r.identity, r.best_similarity.hex()) == (
+            matched, expected if matched else None, best.hex()
+        )
+
+    def test_only_a_queried_gallery_holds_a_float32_copy(self, tmp_path):
+        source = generate_synthetic(SynthSpec(30, 4, 32, 0.18, 1.0, rng_seed=67))
+        path = tmp_path / "g.csv"
+        source.save(path)
+
+        def numpy_bytes() -> int:
+            """Bytes of the live numpy buffers made since tracemalloc started."""
+            buffers = tracemalloc.take_snapshot().filter_traces(
+                [tracemalloc.DomainFilter(True, np.lib.tracemalloc_domain)]
+            )
+            return sum(trace.size for trace in buffers.traces)
+
+        tracemalloc.start()
+        try:
+            # loading, adapting and the growth protocol (which builds a
+            # gallery of its own) never match, so they never make the copy
+            with mock.patch.object(Gallery, "match_query", side_effect=AssertionError("matched")):
+                loaded = Gallery.load(path)
+                held = [numpy_bytes()]
+                adapt(loaded, None, AdaptConfig())
+                held.append(numpy_bytes())
+                run_incremental(loaded)
+                held.append(numpy_bytes())
+            query = source.embeddings_of(source.identities[0])[0].vector
+            loaded.match_query(query, 0.5)
+            held.append(numpy_bytes())
+            loaded.match_query(-query, 0.5)
+            held.append(numpy_bytes())
+        finally:
+            tracemalloc.stop()
+        capacity, dim = loaded._unit.shape
+        # the unit rows and each embedding's own float64 vector, no more
+        assert held[:3] == [8 * (capacity + len(loaded)) * dim] * 3
+        # the first match makes the copy, at most float32 rows of the
+        # capacity; a later one reuses it
+        assert 0 < held[3] - held[2] <= 4 * capacity * dim
+        assert held[4] == held[3]
 
 
 class TestPersistence:
