@@ -33,8 +33,7 @@ from .experiment import (
 )
 from .gallery import Embedding, Gallery, MatchResult
 from .metrics import (
-    ConfusionCounts,
-    MetricsReport,
+    Rates,
     RocCurve,
     metrics_at,
     roc_auc,
@@ -63,7 +62,6 @@ __version__ = "0.1.0"
 __all__ = [
     "AdaptConfig",
     "AdathreshError",
-    "ConfusionCounts",
     "DegenerateDataError",
     "DimensionMismatchError",
     "Embedding",
@@ -76,7 +74,7 @@ __all__ = [
     "IntersectionResult",
     "KindSummary",
     "MatchResult",
-    "MetricsReport",
+    "Rates",
     "RocCurve",
     "SimilarityDistributions",
     "StreamEvent",

@@ -59,10 +59,7 @@ def _build_config(args) -> AdaptConfig:
         "tpr_denominator": getattr(args, "tpr_denominator", None),
     }
     values.update({k: v for k, v in overrides.items() if v is not None})
-    try:
-        return AdaptConfig(**values)
-    except TypeError as exc:
-        raise InputContractError(str(exc)) from exc
+    return AdaptConfig(**values)
 
 
 def _cmd_adapt(args) -> int:

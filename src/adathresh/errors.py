@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the checks that raise them."""
+
+import math
+import numbers
 
 
 class AdathreshError(Exception):
@@ -45,3 +48,16 @@ def utf8_error(path) -> GalleryFormatError:
             except UnicodeDecodeError as exc:
                 return GalleryFormatError(f"{path}:{lineno}: not valid UTF-8: {exc.reason}")
     return GalleryFormatError(f"{path}: not valid UTF-8")
+
+
+def real_number(value, name: str) -> float:
+    """``value`` as a Python float: a real number that is neither a bool
+    (``numpy.bool_`` is not a ``numbers.Real``) nor NaN."""
+    # a Python float, the usual value, skips the abstract-class check
+    if type(value) is not float:
+        if isinstance(value, bool) or not isinstance(value, numbers.Real):
+            raise InputContractError(f"{name} must be a real number, got {type(value).__name__}")
+        value = float(value)
+    if math.isnan(value):
+        raise InputContractError(f"{name} must not be NaN")
+    return value

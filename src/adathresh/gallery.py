@@ -5,7 +5,6 @@ from __future__ import annotations
 import csv
 import json
 import math
-import numbers
 import operator
 import threading
 from dataclasses import dataclass
@@ -19,6 +18,7 @@ from .errors import (
     EmptyGalleryError,
     GalleryFormatError,
     InputContractError,
+    real_number,
     utf8_error,
 )
 from .similarity import unit_rows, unit_vector
@@ -69,9 +69,9 @@ class Gallery:
     and bump ``change_counter``; readers should work from ``unit_rows()`` so
     they always see one consistent version.
 
-    Beside the raw embeddings (which ``save`` and ``snapshot`` hand out) the
-    gallery keeps one contiguous matrix of their unit rows in registration
-    order, grown at least twofold when full: row ``k`` is ``unit_vector`` of
+    Beside the raw embeddings (read-only, as ``save`` and ``snapshot`` hand
+    them out) the gallery keeps one contiguous matrix of their unit rows in
+    registration order, grown at least twofold when full: row ``k`` is ``unit_vector`` of
     ``_rows[k].vector``. Writers never touch what a reader took under the
     lock: a registration writes past the ``len(_rows)`` rows it saw, and
     growth and removal build a new matrix and a new list. So a reader that
@@ -82,8 +82,8 @@ class Gallery:
     ``_screen`` is a float32 copy of ``_unit``'s rows, of the same capacity,
     that :meth:`match_query` screens with. The first match makes it (only a
     gallery that is queried holds one); after that it follows the same
-    discipline: a registration writes its rows into it too, and growth and
-    removal drop it, so the next match makes a new one.
+    discipline: a registration writes its rows into it too, removal deletes
+    the row from a copy, and growth drops it, so the next match makes one.
     """
 
     def __init__(self, dimension: int):
@@ -159,8 +159,8 @@ class Gallery:
         shape, the rows (:func:`unit_rows`) and then the ids, each a string
         found neither in the gallery nor earlier in ``instance_ids``, are
         checked before anything is stored, and the whole block is stored
-        under one hold of the lock. Each embedding holds a copy of its row,
-        never a view of ``block``.
+        under one hold of the lock. Each embedding holds a read-only copy of
+        its row, so no reader can change the vector behind a unit row.
         """
         if isinstance(labels, str):
             raise InputContractError("labels must be a sequence of labels, one per row")
@@ -201,6 +201,7 @@ class Gallery:
                 self._screen[n : n + m] = unit
             for label, instance_id, row in zip(labels, ids, block):
                 emb = Embedding(instance_id, label, row.copy())
+                emb.vector.flags.writeable = False
                 self._rows.append(emb)
                 self._identities.setdefault(label, []).append(emb)
             self._ids.update(ids)
@@ -219,13 +220,11 @@ class Gallery:
             rows = self._rows
             k = next(k for k, e in enumerate(rows) if e.instance_id == instance_id)
             owner = rows[k].identity
-            # a new matrix and a new list, in registration order: readers may
+            # new matrices and a new list, in registration order: readers may
             # hold the old ones
-            unit = np.empty_like(self._unit)
-            unit[:k] = self._unit[:k]
-            unit[k : len(rows) - 1] = self._unit[k + 1 : len(rows)]
-            self._unit, self._rows = unit, rows[:k] + rows[k + 1 :]
-            self._screen = None
+            self._unit, self._rows = np.delete(self._unit, k, axis=0), rows[:k] + rows[k + 1 :]
+            if self._screen is not None:
+                self._screen = np.delete(self._screen, k, axis=0)
             remaining = [e for e in self._identities[owner] if e.instance_id != instance_id]
             if remaining:
                 self._identities[owner] = remaining
@@ -244,8 +243,8 @@ class Gallery:
         """Best cosine match across the whole gallery.
 
         Matches when the best similarity reaches ``threshold``, a real number
-        that is not a bool (it is taken as a Python float, so ``matched`` is
-        always a Python bool) nor NaN (it would never match); ties between
+        that is not a bool nor NaN (:func:`real_number`; it is taken as a
+        Python float, so ``matched`` is always a Python bool); ties between
         identities go to the lexicographically smallest label.
 
         A query of another shape raises :class:`DimensionMismatchError`;
@@ -279,15 +278,7 @@ class Gallery:
         one row. At -1 every score clips to -1, so every row of the gallery
         ties.
         """
-        # a Python float, the usual threshold, skips the abstract-class check
-        if type(threshold) is not float:
-            if isinstance(threshold, (bool, np.bool_)) or not isinstance(threshold, numbers.Real):
-                raise InputContractError(
-                    f"threshold must be a real number, got {type(threshold).__name__}"
-                )
-            threshold = float(threshold)
-        if math.isnan(threshold):
-            raise InputContractError("threshold must not be NaN")
+        threshold = real_number(threshold, "threshold")
         with self._lock:
             unit, rows, screen = self._unit, self._rows, self._screen
             n = len(rows)

@@ -1,12 +1,12 @@
 """Confusion counts, threshold metrics, and ROC/AUC over similarity samples."""
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Literal
 
 import numpy as np
 
-from .errors import InputContractError
+from .errors import InputContractError, real_number
 from .similarity import SimilarityDistributions
 
 TprDenominator = Literal["standard", "paper"]
@@ -16,30 +16,9 @@ _SWEEP_MARGIN = 1e-6
 
 
 @dataclass(frozen=True)
-class ConfusionCounts:
-    """TP/FP/FN/TN at one threshold; equality counts as a positive prediction."""
-
-    tp: int
-    fp: int
-    fn: int
-    tn: int
-    threshold: float
-
-
-@dataclass(frozen=True)
-class MetricsReport:
-    precision: float
-    recall: float
-    f1: float
-    accuracy: float
-    tpr: float
-    fpr: float
-    counts: ConfusionCounts
-
-
-@dataclass(frozen=True)
 class Rates:
-    """Confusion counts and the rates formed from them, one entry per threshold."""
+    """Confusion counts (exact integral floats) and the rates formed from them:
+    arrays of one entry per threshold, or Python floats from :func:`metrics_at`."""
 
     tp: np.ndarray
     fp: np.ndarray
@@ -123,28 +102,14 @@ def metrics_at(
     threshold: float,
     epsilon: float = 1e-9,
     tpr_denominator: TprDenominator = "standard",
-) -> MetricsReport:
-    """Precision/recall/f1/accuracy plus ROC rates at one threshold.
+) -> Rates:
+    """Counts, precision/recall/f1/accuracy and ROC rates at one threshold.
 
     This is :func:`rates_at` at a single threshold, so it scores exactly as
-    the optimizer's sweep does.
+    the optimizer's sweep does; ``threshold`` is checked by :func:`real_number`.
     """
-    r = rates_at(dist, np.array([threshold], dtype=np.float64), epsilon, tpr_denominator)
-    return MetricsReport(
-        precision=float(r.precision[0]),
-        recall=float(r.recall[0]),
-        f1=float(r.f1[0]),
-        accuracy=float(r.accuracy[0]),
-        tpr=float(r.tpr[0]),
-        fpr=float(r.fpr[0]),
-        counts=ConfusionCounts(
-            tp=int(r.tp[0]),
-            fp=int(r.fp[0]),
-            fn=int(r.fn[0]),
-            tn=int(r.tn[0]),
-            threshold=float(threshold),
-        ),
-    )
+    r = rates_at(dist, np.array([real_number(threshold, "threshold")]), epsilon, tpr_denominator)
+    return Rates(**{f.name: getattr(r, f.name).item() for f in fields(Rates)})
 
 
 def roc_auc(dist: SimilarityDistributions) -> float:

@@ -11,7 +11,7 @@ from typing import TYPE_CHECKING, Iterator, Literal
 
 import numpy as np
 
-from .errors import DegenerateDataError, InputContractError
+from .errors import DegenerateDataError, InputContractError, real_number
 from .metrics import metrics_at, rates_at
 from .similarity import SimilarityDistributions, build_distributions
 from .stats import _threshold_with_source, estimate_gaussian, intersect_gaussians
@@ -46,9 +46,10 @@ class AdaptConfig:
     grid_points = 512
 
     def __post_init__(self):
-        for name in ("tau", "epsilon", "recompute_every_n"):
-            if isinstance(getattr(self, name), (bool, np.bool_)):
-                raise InputContractError(f"{name} must be a number, not a bool")
+        for name in ("tau", "epsilon"):
+            real_number(getattr(self, name), name)
+        if isinstance(self.recompute_every_n, (bool, np.bool_)):
+            raise InputContractError("recompute_every_n must be an integer, not a bool")
         if not 0.0 < self.tau <= 1.0:
             raise InputContractError("tau must be in (0, 1]")
         if not 0.0 < self.epsilon < math.inf:

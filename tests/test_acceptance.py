@@ -120,7 +120,7 @@ def test_criterion_3_confusion_partition_and_monotonicity():
             )
             prev_tp = prev_fp = None
             for lam in np.linspace(-1.05, 1.05, 101):
-                c = metrics_at(dist, float(lam)).counts
+                c = metrics_at(dist, float(lam))
                 assert c.tp + c.fn == na
                 assert c.fp + c.tn == nc
                 if prev_tp is not None:

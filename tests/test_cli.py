@@ -141,6 +141,25 @@ class TestAdapt:
         assert code == EXIT_CONTRACT
         assert "bool" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "values, message",
+        [
+            ({"tau": "0.5"}, "tau must be a real number"),
+            ({"tau": None}, "tau must be a real number"),
+            ({"epsilon": [1e-9]}, "epsilon must be a real number"),
+            ({"recompute_every_n": None}, "recompute_every_n must be an integer"),
+            ({"tpr_denominator": None}, "unknown tpr_denominator"),
+        ],
+    )
+    def test_wrongly_typed_config_values_exit_2(
+        self, synth_file, tmp_path, capsys, values, message
+    ):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(values))
+        code = main(["adapt", "--gallery", str(synth_file), "--config", str(cfg)])
+        assert code == EXIT_CONTRACT
+        assert message in capsys.readouterr().err
+
     @pytest.mark.parametrize("payload", [[1, 2], []])
     def test_non_object_config_exit_2(self, synth_file, tmp_path, capsys, payload):
         cfg = tmp_path / "cfg.json"

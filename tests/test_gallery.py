@@ -303,6 +303,31 @@ class TestBlockRegistration:
         assert (len(g), g.change_counter) == (3, 3)
 
 
+class TestStoredVectors:
+    def test_a_reader_cannot_write_a_stored_vector(self, tmp_path):
+        g = Gallery(2)
+        g.register("a", [1.0, 0.0])
+        g.register_rows(["b", "c"], np.array([[0.6, 0.8], [-1.0, 0.5]]))
+        _, view = g.snapshot()
+        for emb in g.embeddings_of("a") + list(view["b"]):
+            with pytest.raises(ValueError):
+                emb.vector[:] = [0.0, 1.0]
+            assert emb.vector.flags.owndata
+        assert g.embeddings_of("a")[0].vector.tolist() == [1.0, 0.0]
+        # the saved file still holds the vectors the unit rows were made from
+        path = tmp_path / "g.csv"
+        g.save(path)
+        loaded = Gallery.load(path)
+        for query in ([0.0, 1.0], [1.0, 0.1], [-1.0, 0.4]):
+            assert loaded.match_query(query, 0.5) == g.match_query(query, 0.5)
+
+    def test_the_callers_block_stays_writable(self):
+        block = np.array([[1.0, 0.0], [0.0, 1.0]])
+        Gallery(2).register_rows(["a", "b"], block)
+        block[0, 0] = 2.0
+        assert block.flags.writeable
+
+
 class TestRemove:
     def test_last_embedding_drops_identity(self):
         g = Gallery(3)
@@ -332,6 +357,24 @@ class TestRemove:
         g.remove(ids[0])
         g.remove(ids[1])
         assert g.change_counter == start + 6
+
+    def test_remove_keeps_the_screen_in_step(self):
+        # after the first match, removals shift the float32 rows with the
+        # float64 ones, so no later match has to cast them again
+        rng = np.random.default_rng(68)
+        block = rng.standard_normal((40, 8))
+        g = Gallery(8)
+        ids = g.register_rows([f"id{k % 7}" for k in range(40)], block)
+        g.match_query(block[0], 0.5)
+        for instance_id in rng.permutation(ids)[:25]:
+            screen = g._screen
+            assert g.remove(instance_id)
+            assert g._screen is not screen
+            n = len(g)
+            assert np.array_equal(g._screen[:n], g._unit[:n].astype(np.float32))
+            query = rng.standard_normal(8)
+            r = g.match_query(query, -1.0)
+            assert (r.best_similarity, r.identity) == clipped_reference(g, query)
 
 
 class TestMatchQuery:

@@ -1,3 +1,5 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,6 +9,7 @@ from adathresh import (
     AdaptConfig,
     Gallery,
     InputContractError,
+    Rates,
     SimilarityDistributions,
     build_distributions,
     metrics_at,
@@ -29,26 +32,26 @@ def random_dist(rng, max_n=60):
 
 
 class TestConfusionAt:
-    """The confusion counts at one threshold, ``metrics_at(...).counts``."""
+    """The confusion counts at one threshold, read from ``metrics_at``."""
 
     def test_perfectly_separated(self):
-        c = metrics_at(SimilarityDistributions([0.9], [0.1]), 0.5).counts
+        c = metrics_at(SimilarityDistributions([0.9], [0.1]), 0.5)
         assert (c.tp, c.fn, c.fp, c.tn) == (1, 0, 0, 1)
 
     def test_everything_positive_at_minus_one(self):
         dist = SimilarityDistributions([0.2, 0.6, 0.8], [0.1, 0.3, 0.7])
-        c = metrics_at(dist, -1.0).counts
+        c = metrics_at(dist, -1.0)
         assert (c.tp, c.fp, c.fn, c.tn) == (3, 3, 0, 0)
 
     def test_three_by_three(self):
-        c = metrics_at(THREE_V_THREE, 0.5).counts
+        c = metrics_at(THREE_V_THREE, 0.5)
         assert (c.tp, c.fn, c.fp, c.tn) == naive_confusion(
             [0.2, 0.6, 0.8], [0.1, 0.3, 0.7], 0.5
         )
         assert (c.tp, c.fn, c.fp, c.tn) == (2, 1, 1, 2)
 
     def test_boundary_counts_positive(self):
-        c = metrics_at(SimilarityDistributions([0.5], [0.5]), 0.5).counts
+        c = metrics_at(SimilarityDistributions([0.5], [0.5]), 0.5)
         assert (c.tp, c.fp, c.fn, c.tn) == (1, 1, 0, 0)
 
     def test_empty_side_rejected(self):
@@ -63,7 +66,7 @@ class TestConfusionAt:
             dist = random_dist(rng)
             prev_tp = prev_fp = None
             for lam in np.linspace(-1.1, 1.1, 45):
-                c = metrics_at(dist, float(lam)).counts
+                c = metrics_at(dist, float(lam))
                 assert c.tp + c.fn == dist.auto_samples.size
                 assert c.fp + c.tn == dist.cross_samples.size
                 if prev_tp is not None:
@@ -94,10 +97,9 @@ class TestMetricsAt:
             dist = random_dist(rng)
             lam = float(rng.uniform(-1, 1))
             m = metrics_at(dist, lam)
-            c = m.counts
-            if c.tp > 0:
+            if m.tp > 0:
                 assert m.f1 == pytest.approx(
-                    2 * c.tp / (2 * c.tp + c.fp + c.fn), abs=1e-12
+                    2 * m.tp / (2 * m.tp + m.fp + m.fn), abs=1e-12
                 )
 
     def test_epsilon_zero_matches_default(self):
@@ -114,10 +116,9 @@ class TestMetricsAt:
 
     def test_paper_tpr_denominator(self):
         m = metrics_at(THREE_V_THREE, 0.5, epsilon=1e-9, tpr_denominator="paper")
-        c = m.counts
-        assert m.tpr == c.tp / (c.tp + c.fp + 1e-9)
+        assert m.tpr == m.tp / (m.tp + m.fp + 1e-9)
         standard = metrics_at(THREE_V_THREE, 0.5)
-        assert standard.tpr == c.tp / (c.tp + c.fn + 1e-9)
+        assert standard.tpr == m.tp / (m.tp + m.fn + 1e-9)
 
     def test_bad_arguments(self):
         with pytest.raises(InputContractError):
@@ -137,6 +138,31 @@ class TestMetricsAt:
             rates_at(THREE_V_THREE, np.array([0.5, np.nan]))
         with pytest.raises(InputContractError):
             metrics_at(THREE_V_THREE, float("nan"))
+
+    @pytest.mark.parametrize("threshold", ["0.5", True, np.True_, None, 0.5j, [0.5]])
+    def test_threshold_that_is_not_a_real_number_rejected(self, threshold):
+        with pytest.raises(InputContractError, match="threshold must be a real number"):
+            metrics_at(THREE_V_THREE, threshold)
+
+    @pytest.mark.parametrize("threshold", [np.float64(0.6), np.float32(0.6), 1, np.int64(0)])
+    def test_real_threshold_scores_as_its_float(self, threshold):
+        assert metrics_at(THREE_V_THREE, threshold) == metrics_at(
+            THREE_V_THREE, float(threshold)
+        )
+
+    def test_one_threshold_is_rates_at_as_python_floats(self):
+        rng = np.random.default_rng(55)
+        for _ in range(20):
+            dist = random_dist(rng)
+            lam = float(rng.uniform(-1, 1))
+            m = metrics_at(dist, lam, 1e-3, "paper")
+            r = rates_at(dist, np.array([lam]), 1e-3, "paper")
+            for f in fields(Rates):
+                value = getattr(m, f.name)
+                assert type(value) is float
+                assert value.hex() == float(getattr(r, f.name)[0]).hex()
+            assert m.tp + m.fn == dist.auto_samples.size
+            assert m.tp.is_integer() and m.fp.is_integer()
 
 
 class TestRocSweep:
@@ -183,7 +209,7 @@ class TestRocSweep:
         na = dist.auto_samples.size
         nc = dist.cross_samples.size
         for fpr, tpr, lam in roc.points[1:-1]:
-            c = metrics_at(dist, lam).counts
+            c = metrics_at(dist, lam)
             assert tpr == c.tp / (c.tp + c.fn + 1e-9)
             assert fpr == c.fp / (c.fp + c.tn + 1e-9)
             assert c.tp + c.fn == na and c.fp + c.tn == nc

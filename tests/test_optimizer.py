@@ -418,6 +418,10 @@ class TestAdaptConfig:
             pytest.param({"tau": True}, id="kwargs11"),
             pytest.param({"epsilon": True}, id="kwargs12"),
             pytest.param({"recompute_every_n": True}, id="kwargs13"),
+            pytest.param({"tau": "0.5"}, id="kwargs14"),
+            pytest.param({"tau": None}, id="kwargs15"),
+            pytest.param({"tau": 0.5j}, id="kwargs16"),
+            pytest.param({"epsilon": "1e-9"}, id="kwargs17"),
         ],
     )
     def test_validation(self, kwargs):

@@ -6,7 +6,6 @@ import adathresh
 PUBLIC = [
     "AdaptConfig",
     "AdathreshError",
-    "ConfusionCounts",
     "DegenerateDataError",
     "DimensionMismatchError",
     "Embedding",
@@ -19,7 +18,7 @@ PUBLIC = [
     "IntersectionResult",
     "KindSummary",
     "MatchResult",
-    "MetricsReport",
+    "Rates",
     "RocCurve",
     "SimilarityDistributions",
     "StreamEvent",

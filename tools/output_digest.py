@@ -5,7 +5,7 @@ keeps them bit for bit.
 
 Run it from the root of a source checkout: the program is imported from
 ``src/`` there, and the workloads' inputs and steps from ``perfbench/``,
-which it only reads. It prints three lines, each a workload and the digest
+which it only reads. It prints four lines, each a workload and the digest
 of:
 
 - ``readapt-hard``: the auto and cross sample bytes of its gallery and the
@@ -15,6 +15,11 @@ of:
   its inputs, seeds 1-3;
 - ``stream-online``: one pass's events, the threshold in force at each query
   and the re-adaptations, seeds 1-3.
+- ``metrics-layer``: every output of the metrics layer on the
+  ``readapt-hard`` gallery: the stdout of ``adathresh adapt``, the bytes of
+  the ``adathresh roc --points 1001`` file, and ``metrics_at``'s six rates at
+  101 thresholds in [-0.05, 1.05] under both TPR denominators. The rates are
+  read by name, so the line compares across a change of their result type.
 
 Every float enters a digest as its exact bits (``float.hex``). Run it on two
 commits and compare the lines; equal lines mean equal outputs.
@@ -26,8 +31,10 @@ import os
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
 
+import contextlib
 import dataclasses
 import hashlib
+import io
 import sys
 import tempfile
 from pathlib import Path
@@ -89,6 +96,28 @@ def stream_online(out: Path, workloads) -> str:
     return h.hexdigest()
 
 
+def metrics_layer(out: Path, workloads) -> str:
+    from adathresh import Gallery, build_distributions, generate_synthetic, metrics_at
+    from adathresh.cli import main as cli
+
+    gallery, roc = out / "metrics-layer.csv", out / "metrics-layer-roc.csv"
+    generate_synthetic(workloads.READAPT_SPEC, gallery)
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        code = cli(["adapt", "--gallery", str(gallery)])
+    # roc's stdout names only the temporary output path
+    with contextlib.redirect_stdout(io.StringIO()):
+        code += cli(["roc", "--embeddings", str(gallery), "--points", "1001", "--out", str(roc)])
+    h = hashlib.sha256(f"{code}\n{stdout.getvalue()}".encode() + roc.read_bytes())
+    dist = build_distributions(Gallery.load(gallery))
+    for denominator in ("standard", "paper"):
+        for lam in np.linspace(-0.05, 1.05, 101).tolist():
+            m = metrics_at(dist, lam, tpr_denominator=denominator)
+            rates = (m.precision, m.recall, m.f1, m.accuracy, m.tpr, m.fpr)
+            h.update(f"{denominator}:{lam.hex()}:{_text(rates)}\n".encode())
+    return h.hexdigest()
+
+
 def main() -> None:
     # perfbench/ is read, never written: no bytecode cache beside its modules
     sys.dont_write_bytecode = True
@@ -100,6 +129,7 @@ def main() -> None:
             ("readapt-hard", readapt_hard),
             ("grow-protocol", grow_protocol),
             ("stream-online", stream_online),
+            ("metrics-layer", metrics_layer),
         ):
             print(f"{name}\t{digest(Path(tmp), workloads)}", flush=True)
 
