@@ -51,13 +51,15 @@ def utf8_error(path) -> GalleryFormatError:
 
 
 def real_number(value, name: str) -> float:
-    """``value`` as a Python float: a real number that is neither a bool
-    (``numpy.bool_`` is not a ``numbers.Real``) nor NaN."""
+    """``value`` as a Python float: a real number (so no ``numpy.bool_``), not a bool nor NaN."""
     # a Python float, the usual value, skips the abstract-class check
     if type(value) is not float:
         if isinstance(value, bool) or not isinstance(value, numbers.Real):
             raise InputContractError(f"{name} must be a real number, got {type(value).__name__}")
-        value = float(value)
+        try:
+            value = float(value)
+        except OverflowError:  # an int too large for a float is an infinity of its sign
+            value = math.inf if value > 0 else -math.inf
     if math.isnan(value):
         raise InputContractError(f"{name} must not be NaN")
     return value

@@ -82,8 +82,8 @@ class Gallery:
     ``_screen`` is a float32 copy of ``_unit``'s rows, of the same capacity,
     that :meth:`match_query` screens with. The first match makes it (only a
     gallery that is queried holds one); after that it follows the same
-    discipline: a registration writes its rows into it too, removal deletes
-    the row from a copy, and growth drops it, so the next match makes one.
+    discipline: a registration writes its rows into it too, and growth and
+    removal drop it, so the next match makes a new one.
     """
 
     def __init__(self, dimension: int):
@@ -217,14 +217,13 @@ class Gallery:
         with self._lock:
             if instance_id not in self._ids:
                 return False
-            rows = self._rows
+            rows, n = self._rows, len(self._rows)
             k = next(k for k, e in enumerate(rows) if e.instance_id == instance_id)
             owner = rows[k].identity
-            # new matrices and a new list, in registration order: readers may
-            # hold the old ones
-            self._unit, self._rows = np.delete(self._unit, k, axis=0), rows[:k] + rows[k + 1 :]
-            if self._screen is not None:
-                self._screen = np.delete(self._screen, k, axis=0)
+            # a new matrix and list, in registration order: readers may hold the old ones
+            unit = np.empty_like(self._unit)
+            np.concatenate((self._unit[:k], self._unit[k + 1 : n]), out=unit[: n - 1])
+            self._unit, self._rows, self._screen = unit, rows[:k] + rows[k + 1 :], None
             remaining = [e for e in self._identities[owner] if e.instance_id != instance_id]
             if remaining:
                 self._identities[owner] = remaining

@@ -17,19 +17,18 @@ _SWEEP_MARGIN = 1e-6
 
 @dataclass(frozen=True)
 class Rates:
-    """Confusion counts (exact integral floats) and the rates formed from them:
-    arrays of one entry per threshold, or Python floats from :func:`metrics_at`."""
+    """Confusion counts (exact integral floats) and the rates formed from them."""
 
-    tp: np.ndarray
-    fp: np.ndarray
-    fn: np.ndarray
-    tn: np.ndarray
-    precision: np.ndarray
-    recall: np.ndarray
-    f1: np.ndarray
-    accuracy: np.ndarray
-    tpr: np.ndarray
-    fpr: np.ndarray
+    tp: np.ndarray | float
+    fp: np.ndarray | float
+    fn: np.ndarray | float
+    tn: np.ndarray | float
+    precision: np.ndarray | float
+    recall: np.ndarray | float
+    f1: np.ndarray | float
+    accuracy: np.ndarray | float
+    tpr: np.ndarray | float
+    fpr: np.ndarray | float
 
 
 @dataclass(frozen=True)

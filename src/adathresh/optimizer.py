@@ -47,7 +47,7 @@ class AdaptConfig:
 
     def __post_init__(self):
         for name in ("tau", "epsilon"):
-            real_number(getattr(self, name), name)
+            object.__setattr__(self, name, real_number(getattr(self, name), name))
         if isinstance(self.recompute_every_n, (bool, np.bool_)):
             raise InputContractError("recompute_every_n must be an integer, not a bool")
         if not 0.0 < self.tau <= 1.0:

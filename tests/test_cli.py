@@ -149,6 +149,9 @@ class TestAdapt:
             ({"epsilon": [1e-9]}, "epsilon must be a real number"),
             ({"recompute_every_n": None}, "recompute_every_n must be an integer"),
             ({"tpr_denominator": None}, "unknown tpr_denominator"),
+            # json.load reads a 400-digit integer as an int too large for a float
+            ({"tau": 10**400}, "tau must be in (0, 1]"),
+            ({"epsilon": 10**400}, "epsilon must be finite and > 0"),
         ],
     )
     def test_wrongly_typed_config_values_exit_2(

@@ -358,23 +358,22 @@ class TestRemove:
         g.remove(ids[1])
         assert g.change_counter == start + 6
 
-    def test_remove_keeps_the_screen_in_step(self):
-        # after the first match, removals shift the float32 rows with the
-        # float64 ones, so no later match has to cast them again
+    def test_match_after_remove_is_exact(self):
+        # after the first match, each removal drops the float32 rows, and the
+        # next match casts the rows that are left
         rng = np.random.default_rng(68)
         block = rng.standard_normal((40, 8))
         g = Gallery(8)
         ids = g.register_rows([f"id{k % 7}" for k in range(40)], block)
         g.match_query(block[0], 0.5)
         for instance_id in rng.permutation(ids)[:25]:
-            screen = g._screen
             assert g.remove(instance_id)
-            assert g._screen is not screen
-            n = len(g)
-            assert np.array_equal(g._screen[:n], g._unit[:n].astype(np.float32))
+            assert g._screen is None
             query = rng.standard_normal(8)
             r = g.match_query(query, -1.0)
             assert (r.best_similarity, r.identity) == clipped_reference(g, query)
+            n = len(g)
+            assert np.array_equal(g._screen[:n], g._unit[:n].astype(np.float32))
 
 
 class TestMatchQuery:
@@ -495,6 +494,11 @@ class TestMatchQuery:
     def test_threshold_must_be_a_real_number(self, threshold):
         with pytest.raises(InputContractError, match="threshold must be a real number"):
             two_identity_gallery().match_query([1, 0, 0], threshold)
+
+    def test_an_int_too_large_for_a_float_is_an_infinity(self):
+        g = two_identity_gallery()
+        assert not g.match_query([1, 0, 0], 10**400).matched
+        assert g.match_query([0, 0, 1], -(10**400)).matched
 
     def test_query_array_is_not_modified(self):
         g = two_identity_gallery()

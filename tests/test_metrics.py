@@ -1,3 +1,4 @@
+import math
 from dataclasses import fields
 
 import numpy as np
@@ -149,6 +150,12 @@ class TestMetricsAt:
         assert metrics_at(THREE_V_THREE, threshold) == metrics_at(
             THREE_V_THREE, float(threshold)
         )
+
+    def test_an_int_too_large_for_a_float_scores_as_an_infinity(self):
+        for sign in (1, -1):
+            assert metrics_at(THREE_V_THREE, sign * 10**400) == metrics_at(
+                THREE_V_THREE, sign * math.inf
+            )
 
     def test_one_threshold_is_rates_at_as_python_floats(self):
         rng = np.random.default_rng(55)

@@ -422,6 +422,9 @@ class TestAdaptConfig:
             pytest.param({"tau": None}, id="kwargs15"),
             pytest.param({"tau": 0.5j}, id="kwargs16"),
             pytest.param({"epsilon": "1e-9"}, id="kwargs17"),
+            pytest.param({"tau": 10**400}, id="kwargs18"),
+            pytest.param({"epsilon": 10**400}, id="kwargs19"),
+            pytest.param({"tau": -(10**400)}, id="kwargs20"),
         ],
     )
     def test_validation(self, kwargs):
