@@ -29,8 +29,9 @@ FLOAT_FORMAT = ".17g"
 # the counters a saved gallery carries, in the order they are written
 _COUNTERS = ("change_counter", "registrations_since_adapt")
 
-# rows the CSV loader parses into one float64 buffer before registering them;
-# the parsed floats of a whole file are never held at once
+# rows the CSV loader parses with one np.loadtxt call and registers with one
+# register_rows call; neither the text nor the parsed floats of a whole file
+# are held at once
 _LOAD_CHUNK = 256
 
 # float32's unit roundoff: rounding to nearest moves a value by at most this
@@ -394,10 +395,16 @@ class Gallery:
         meta: dict[str, str] = {}
         gallery = None
         with open(path, newline="", encoding="utf-8") as fh:
-            reader = csv.reader(fh)
-            # rows are registered a chunk at a time as they are read, so the
-            # parsed text of the whole file is never held at once
-            for row in reader:
+            lines = _Lines(fh)
+            reader = csv.reader(lines)
+            while True:
+                if gallery is not None and not lines.replaying:
+                    chunk.flush()  # the rows csv read come first
+                    if lines.through_numpy(gallery):
+                        continue
+                row = next(reader, None)
+                if row is None:
+                    break
                 if len(row) <= 1:
                     # one field: a blank line, a comment (the saved counters
                     # are "# key=value" comments) or a malformed data row
@@ -420,7 +427,7 @@ class Gallery:
                     gallery = cls(len(row) - 2)
                     chunk = _Chunk(gallery, path)
                     continue
-                lineno = reader.line_num
+                lineno = lines.lineno
                 if len(row) != gallery.dimension + 2:
                     chunk.flush()  # an earlier row's error comes first
                     raise GalleryFormatError(
@@ -497,10 +504,116 @@ class Gallery:
             setattr(self, key, value)
 
 
+def _for_csv(line: str) -> bool:
+    """Whether ``line`` goes to csv rather than to numpy's reader: a blank
+    line (numpy skips it, with a warning), a comment such as the counter
+    trailer (numpy would refuse the chunk it ends), and a line that holds
+    one of the separators U+001C-U+001F (numpy strips them from a value as
+    whitespace, where ``float()`` refuses them)."""
+    return (
+        line.lstrip()[:1] in ("", "#")
+        or "\x1c" in line
+        or "\x1d" in line
+        or "\x1e" in line
+        or "\x1f" in line
+    )
+
+
+class _Lines:
+    """The lines of an open CSV file, for the loader's two readers, numbered
+    as ``csv.reader`` numbers them: ``lineno`` counts the lines handed out,
+    so after a csv row it is that row's last line.
+
+    While numpy's reader reads, a line for csv (:func:`_for_csv`) is handed
+    back. If no line of the chunk held a quote, every line held one row, so
+    the chunk ends before it; otherwise it may continue a quoted field, and
+    the chunk is refused.
+    """
+
+    def __init__(self, fh):
+        self._fh = fh
+        self._back: str | None = None  # a line handed back, to hand out next
+        self._replay = 0  # lines of a refused chunk for csv to read first
+        self._numpy = False  # whether numpy's reader is reading
+        self._quoted = False  # whether a line it has read holds a quote
+        self.lineno = 0
+
+    @property
+    def replaying(self) -> bool:
+        """Whether csv must read the next line: one handed back, or one of
+        a chunk numpy refused."""
+        return self._back is not None or self._replay > 0
+
+    def __iter__(self):
+        return self
+
+    def __next__(self) -> str:
+        if self._back is None:
+            line = self._fh.readline()
+        else:
+            line, self._back = self._back, None
+        if not line:
+            raise StopIteration
+        if self._numpy:
+            if _for_csv(line):
+                self._back = line
+                if self._quoted:
+                    raise ValueError("a line for csv, perhaps inside a quoted field")
+                raise StopIteration
+            self._quoted = self._quoted or '"' in line
+        elif self._replay:
+            self._replay -= 1
+        self.lineno += 1
+        return line
+
+    def through_numpy(self, gallery: Gallery) -> bool:
+        """Parse up to ``_LOAD_CHUNK`` rows with one ``np.loadtxt`` call and
+        register them with one ``register_rows`` call.
+
+        False when the next line is for csv (or there is none), or when
+        numpy refuses a row or ``register_rows`` a row: then the file goes
+        back to the chunk's start, and csv reads the lines numpy read before
+        numpy reads again.
+        """
+        dtype = [
+            ("identity", object),
+            ("instance_id", object),
+            ("v", np.float64, gallery.dimension),
+        ]
+        mark, lineno = self._fh.tell(), self.lineno
+        first = self._fh.readline()
+        if not first:
+            return False
+        self._back = first
+        if _for_csv(first):
+            return False
+        self._numpy, self._quoted = True, False
+        try:
+            rows = np.loadtxt(
+                self,
+                dtype=dtype,
+                delimiter=",",
+                quotechar='"',
+                comments=None,
+                max_rows=_LOAD_CHUNK,
+                ndmin=1,
+            )
+            gallery.register_rows(rows["identity"], rows["v"], rows["instance_id"])
+        except UnicodeDecodeError:
+            raise
+        except (TypeError, ValueError):
+            self._fh.seek(mark)
+            self._back, self._replay, self.lineno = None, self.lineno - lineno, lineno
+            return False
+        finally:
+            self._numpy = False
+        return True
+
+
 class _Chunk:
-    """The CSV loader's parsed rows, registered ``_LOAD_CHUNK`` at a time
-    through one float64 buffer. A row's error is prefixed with ``path`` and
-    the row's line number."""
+    """The rows the CSV loader's csv reader parsed, registered
+    ``_LOAD_CHUNK`` at a time through one float64 buffer. A row's error is
+    prefixed with ``path`` and the row's line number."""
 
     def __init__(self, gallery: Gallery, path: Path):
         self.gallery = gallery
@@ -520,6 +633,8 @@ class _Chunk:
 
     def flush(self) -> None:
         """Register the rows added since the last flush."""
+        if not self.labels:
+            return
         labels, ids, linenos = self.labels, self.ids, self.linenos
         self.labels, self.ids, self.linenos = [], [], []
         block = self.block[: len(labels)]

@@ -28,9 +28,10 @@ from adathresh import (
     run_incremental,
 )
 import adathresh.gallery
+from adathresh.errors import utf8_error
 from adathresh.gallery import FLOAT_FORMAT
 from adathresh.similarity import unit_rows, unit_vector
-from conftest import naive_cosine
+from conftest import gallery_contents, naive_cosine
 
 
 def two_identity_gallery() -> Gallery:
@@ -999,10 +1000,11 @@ class TestPersistence:
                 elif i < len(data):
                     data[i] ^= 1 << byte % 8
             path.write_bytes(data)
-            try:
-                Gallery.load(path)
-            except GalleryFormatError:
-                pass
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                state = loaded_state(Gallery.load, path)
+            if suffix == ".csv":
+                assert state == loaded_state(per_row_csv_load, path)
 
 
 def per_float_csv(gallery, path):
@@ -1020,6 +1022,65 @@ def per_float_csv(gallery, path):
                 )
         for key in ("change_counter", "registrations_since_adapt"):
             fh.write(f"# {key}={getattr(gallery, key)}\n")
+
+
+def per_row_csv_load(path):
+    """The CSV loader as ``csv.reader`` and ``float()`` on every row,
+    registering one row at a time: what ``Gallery.load`` must give, a
+    gallery or a ``GalleryFormatError`` with the same text."""
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            g, meta, reader = None, {}, csv.reader(fh)
+            for row in reader:
+                body = "".join(row).strip()
+                if len(row) <= 1 and (not body or body.startswith("#")):
+                    key, eq, value = body.lstrip("#").partition("=")
+                    if body and eq:
+                        meta[key.strip()] = value
+                    continue
+                if g is None:
+                    if len(row) < 4 or row != ["identity", "instance_id"] + [
+                        f"v{i}" for i in range(len(row) - 2)
+                    ]:
+                        raise GalleryFormatError(f"{path}: unrecognized header {row!r}")
+                    g = Gallery(len(row) - 2)
+                    continue
+                where = f"{path}:{reader.line_num}: "
+                if len(row) != g.dimension + 2:
+                    raise GalleryFormatError(
+                        f"{where}row has {len(row)} fields, expected {g.dimension + 2} "
+                        f"(identity, instance_id, {g.dimension} values)"
+                    )
+                try:
+                    g.register(row[0], [float(x) for x in row[2:]], instance_id=row[1])
+                except ValueError as exc:
+                    raise GalleryFormatError(where + str(exc)) from exc
+    except UnicodeDecodeError as exc:
+        raise utf8_error(path) from exc
+    if g is None:
+        raise GalleryFormatError(f"{path}: empty file, no header row")
+    for key in ("change_counter", "registrations_since_adapt"):
+        if key in meta:
+            try:
+                value = int(meta[key])
+            except ValueError:
+                value = -1
+            if value < 0:
+                raise GalleryFormatError(
+                    f"{path}: {key!r}: expected an integer >= 0, got {meta[key]!r}"
+                )
+            setattr(g, key, value)
+    return g
+
+
+def loaded_state(load, path):
+    """What ``load(path)`` gives: the error text, or the gallery's dimension
+    and :func:`gallery_contents`."""
+    try:
+        g = load(path)
+    except GalleryFormatError as exc:
+        return str(exc)
+    return g.dimension, gallery_contents(g)
 
 
 def csv_lines(rows, dim=2):
@@ -1093,6 +1154,76 @@ class TestBatchedPersistence:
         block = np.array(vectors, dtype=np.float64)
         for row, vector in zip(unit_rows(block), block):
             assert row.tobytes() == unit_vector(vector).tobytes()
+
+    # value texts float() and numpy's reader may read differently: float()
+    # takes underscores, non-ASCII digits and Unicode spaces; numpy strips
+    # U+001C-U+001F; a quoted value may hold a newline or a blank line
+    odd_values = st.sampled_from(
+        ["1_0", " 1", "1 ", "\u0661", "\xa01", "\x1f1", "1\x1c", "inf", "nan", "", "1e999",
+         "0x1p3", "5e-324", "-0", '"2.5"', '"1\n"', '"1\n\n"', '"1\n\n2"', "zebra"]
+    )  # fmt: skip
+    # lines between rows: comments, counters, blank and all-space lines
+    between = st.sampled_from(
+        ["# note", "# change_counter=9", "# registrations_since_adapt=1", "#",
+         "# change_counter=x", "", " ", "\t"]
+    )  # fmt: skip
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        lines=st.lists(
+            st.tuples(
+                st.text(max_size=4) | awkward,
+                st.text(max_size=4) | awkward,
+                st.booleans(),  # the two label fields quoted, or written raw
+                st.lists(
+                    wide_floats.map(lambda x: format(x, FLOAT_FORMAT)),
+                    min_size=2,
+                    max_size=2,
+                )
+                | st.lists(odd_values | wide_floats.map(repr), min_size=1, max_size=3),
+            )
+            | between,
+            max_size=9,
+        ),
+        newline=st.sampled_from(["\n", "\r\n", "\r"]),
+        chunk=st.integers(1, 4),
+    )
+    # numpy strips U+001F from a value; a quoted value holds a blank line
+    @example([("a", "x", False, ["1", "\x1f1"])], "\n", 4)
+    @example([("a", "x", True, ["1", '"2\n\n3"'])], "\r\n", 4)
+    def test_load_equals_the_per_row_reader(self, lines, newline, chunk):
+        def quote(field):
+            return '"' + field.replace('"', '""') + '"'
+
+        def fields(row):
+            label, instance_id, quoted, values = row
+            if quoted:
+                label, instance_id = quote(label), quote(instance_id)
+            return ",".join([label, instance_id, *values])
+
+        text = newline.join(
+            ["identity,instance_id,v0,v1"] + [x if isinstance(x, str) else fields(x) for x in lines]
+        )
+        with tempfile.TemporaryDirectory() as tmp, mock.patch.object(
+            adathresh.gallery, "_LOAD_CHUNK", chunk
+        ), warnings.catch_warnings():
+            warnings.simplefilter("error")
+            path = Path(tmp) / "g.csv"
+            path.write_text(text + newline, encoding="utf-8", newline="")
+            assert loaded_state(Gallery.load, path) == loaded_state(per_row_csv_load, path)
+
+    def test_a_refused_chunk_is_read_once_by_each_reader(self, tmp_path):
+        # row 100 holds a value float() reads and numpy's reader refuses
+        rows = [(f"id{j % 7}", f"e{j}", [repr(1.0 + j), "0.5"]) for j in range(300)]
+        rows[100] = ("b", "x", ["1_0", "2"])
+        path = tmp_path / "g.csv"
+        path.write_text(csv_lines(rows))
+        with mock.patch.object(np, "loadtxt", wraps=np.loadtxt) as loadtxt:
+            state = loaded_state(Gallery.load, path)
+        assert state == loaded_state(per_row_csv_load, path)
+        # rows 0-100 refused, then rows 101-299 in one chunk
+        assert adathresh.gallery._LOAD_CHUNK >= 200
+        assert loadtxt.call_count == 2
 
     def test_each_embedding_owns_its_vector(self, tmp_path):
         rng = np.random.default_rng(65)

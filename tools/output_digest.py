@@ -5,7 +5,7 @@ keeps them bit for bit.
 
 Run it from the root of a source checkout: the program is imported from
 ``src/`` there, and the workloads' inputs and steps from ``perfbench/``,
-which it only reads. It prints four lines, each a workload and the digest
+which it only reads. It prints five lines, each a workload and the digest
 of:
 
 - ``readapt-hard``: the auto and cross sample bytes of its gallery and the
@@ -20,6 +20,10 @@ of:
   the ``adathresh roc --points 1001`` file, and ``metrics_at``'s six rates at
   101 thresholds in [-0.05, 1.05] under both TPR denominators. The rates are
   read by name, so the line compares across a change of their result type.
+- ``persistence``: ``Gallery.load`` of the CSV each workload saves
+  (``readapt-hard``'s gallery, and ``grow-protocol``'s and
+  ``stream-online``'s at seeds 1-3): every row's label, instance id, raw
+  and unit-row bits in registration order, and the counters.
 
 Every float enters a digest as its exact bits (``float.hex``). Run it on two
 commits and compare the lines; equal lines mean equal outputs.
@@ -118,6 +122,28 @@ def metrics_layer(out: Path, workloads) -> str:
     return h.hexdigest()
 
 
+def persistence(out: Path, workloads) -> str:
+    from adathresh import Gallery, generate_synthetic
+
+    sources = [("readapt-hard", generate_synthetic(workloads.READAPT_SPEC))]
+    for seed in SEEDS:
+        sources.append((f"grow-protocol-{seed}", generate_synthetic(workloads.grow_spec(seed))))
+        sources.append((f"stream-online-{seed}", workloads.stream_inputs(seed)[0]))
+    h = hashlib.sha256()
+    for name, source in sources:
+        path = out / f"{name}.csv"
+        source.save(path)
+        g = Gallery.load(path)
+        _, unit, labels = g.unit_rows()
+        of = {label: iter(g.embeddings_of(label)) for label in g.identities}
+        rows = [next(of[label]) for label in labels]
+        h.update(f"{name}:{g.change_counter}:{g.registrations_since_adapt}\n".encode())
+        for e in rows:
+            h.update(f"{e.identity!r}:{e.instance_id!r}:".encode() + e.vector.tobytes())
+        h.update(unit.tobytes())
+    return h.hexdigest()
+
+
 def main() -> None:
     # perfbench/ is read, never written: no bytecode cache beside its modules
     sys.dont_write_bytecode = True
@@ -130,6 +156,7 @@ def main() -> None:
             ("grow-protocol", grow_protocol),
             ("stream-online", stream_online),
             ("metrics-layer", metrics_layer),
+            ("persistence", persistence),
         ):
             print(f"{name}\t{digest(Path(tmp), workloads)}", flush=True)
 
