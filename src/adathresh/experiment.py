@@ -107,7 +107,7 @@ class SynthSpec:
                 raise InputContractError(f"{name} must be finite and > 0")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class StreamEvent:
     """Outcome of one query replayed against the gallery."""
 

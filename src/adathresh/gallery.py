@@ -43,6 +43,15 @@ def _is_label(identity) -> bool:
     return isinstance(identity, str) and identity != ""
 
 
+def _float_array(values) -> np.ndarray:
+    """``values`` as a float64 array; an int too large for a float is a
+    non-finite value, as ``1e400`` parsed from text is."""
+    try:
+        return np.asarray(values, dtype=np.float64)
+    except OverflowError as exc:
+        raise InputContractError("vector contains non-finite values") from exc
+
+
 def _shape_error(dimension: int, shape: tuple) -> DimensionMismatchError:
     return DimensionMismatchError(f"expected a vector of dimension {dimension}, got shape {shape}")
 
@@ -98,7 +107,10 @@ class Gallery:
         self._ids: set[str] = set()
         self._id_counter = 0
         self._lock = threading.Lock()
-        self._unit = np.empty((0, self.dimension))
+        try:
+            self._unit = np.empty((0, self.dimension))
+        except ValueError as exc:  # numpy cannot shape an array that wide
+            raise InputContractError("gallery dimension is too large") from exc
         self._rows: list[Embedding] = []
         self._screen: np.ndarray | None = None
         # at least twice the largest gap between a row's float32 screen score
@@ -171,7 +183,7 @@ class Gallery:
         # before np.asarray, so a bad label wins over an unparsable row
         if not all(map(_is_label, labels)):
             raise InputContractError("identity label must be a non-empty string")
-        block = np.asarray(block, dtype=np.float64)
+        block = _float_array(block)
         if block.shape[1:] != (self.dimension,):
             raise _shape_error(self.dimension, block.shape[1:])
         ids = None if instance_ids is None else list(instance_ids)
@@ -288,7 +300,7 @@ class Gallery:
                 screen[:n] = unit[:n]
         if n == 0:
             raise EmptyGalleryError("cannot match against an empty gallery")
-        v = np.asarray(query_vector, dtype=np.float64)
+        v = _float_array(query_vector)
         if v.shape != (self.dimension,):
             raise _shape_error(self.dimension, v.shape)
         qn = unit_vector(v)

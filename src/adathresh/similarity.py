@@ -139,11 +139,23 @@ def _pairs_from_identities(
     bands of whole identities, at most ``_BAND_ROWS`` rows each unless one
     identity alone is larger. A band is paired only with the rows from its
     own start onward, which hold every pair its identities still need.
+
+    An identity's cross samples against all later one-row identities come
+    from one column maximum of its rows, taken from the first such identity
+    onward and read at their columns; only later identities of two or more
+    rows are paired one at a time. A maximum is exact, so each sample has
+    the bits of the block maximum it stands for.
     """
     n = len(spans)
-    auto = np.empty(sum(1 for lo, hi in spans if hi - lo >= 2))
+    # the row of each one-row identity, and the spans of the larger ones
+    single_rows = np.array([lo for lo, hi in spans if hi - lo == 1], dtype=np.intp)
+    multi = [(lo, hi) for lo, hi in spans if hi - lo >= 2]
+    n_single = single_rows.size
+    peak = np.empty(len(unit))  # column maxima, each at its row's position
+    auto = np.empty(len(multi))
     cross = np.empty(n * (n - 1) // 2)
     a = c = 0
+    s = 0  # once k is counted, single_rows[s:] and multi[a:] are the identities after it
     i = 0
     while i < n:
         b_lo = spans[i][0]
@@ -163,7 +175,15 @@ def _pairs_from_identities(
                 band[self_pairs, self_pairs] = -np.inf
                 auto[a] = rows[:, lo:hi].max()
                 a += 1
-            for lo_j, hi_j in spans[k + 1 :]:
+            else:
+                s += 1
+            if s < n_single:
+                first = single_rows[s]
+                np.max(rows[:, first - b_lo :], axis=0, out=peak[first:])
+                c_end = c + n_single - s
+                cross[c:c_end] = peak[single_rows[s:]]
+                c = c_end
+            for lo_j, hi_j in multi[a:]:
                 cross[c] = rows[:, lo_j - b_lo : hi_j - b_lo].max()
                 c += 1
         # free this band before the next one is computed

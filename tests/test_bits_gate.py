@@ -66,9 +66,22 @@ def _quiet_cli(argv) -> int:
         return cli(argv)
 
 
+def mixed_gallery() -> Gallery:
+    """More rows than one band holds (256), registered out of label order,
+    whose one-row identities sort between the larger ones and after them all."""
+    rng = np.random.default_rng(9)
+    sizes = [*rng.choice([1, 1, 2, 3, 5], 100).tolist(), *[1] * 40]
+    labels = [f"m{k:03d}" for k, size in enumerate(sizes) for _ in range(size)]
+    order = rng.permutation(len(labels))
+    g = Gallery(16)
+    g.register_rows([labels[k] for k in order], rng.standard_normal((len(labels), 16)))
+    return g
+
+
 def digests(tmp: Path) -> dict[str, str]:
     g = generate_synthetic(SPEC)
     dist = build_distributions(g)
+    mixed = build_distributions(mixed_gallery())
     states = [adapt(g, None, AdaptConfig()), adapt(g, None, AdaptConfig(tau=1.0, tpr_denominator="paper"))]
 
     grow = tmp / "grow.csv"
@@ -111,6 +124,7 @@ def digests(tmp: Path) -> dict[str, str]:
     back = Gallery.load(tmp / "g.csv")
     return {
         "samples": _sha(dist.auto_samples.tobytes(), dist.cross_samples.tobytes()),
+        "samples-mixed": _sha(mixed.auto_samples.tobytes(), mixed.cross_samples.tobytes()),
         "adapt": _sha(states),
         "simulate": _sha(code, (tmp / "rows.csv").read_bytes(), (tmp / "summary.json").read_bytes()),
         "stream": _sha(events, gallery_contents(enrolled)),

@@ -199,8 +199,17 @@ class TestAdapt:
             ),
             ({"dimension": 2, "embeddings": [], "change_counter": "zz"}, "'change_counter'"),
             ({"dimension": 2, "embeddings": 5}, "'embeddings'"),
+            (
+                {
+                    "dimension": 2,
+                    "embeddings": [
+                        {"identity": "a", "instance_id": "e1", "vector": [1.0, 10**400]}
+                    ],
+                },
+                "embedding #0",
+            ),
         ],
-        ids=["dimension", "vector", "counter", "embeddings"],
+        ids=["dimension", "vector", "counter", "embeddings", "int too large for a float"],
     )
     def test_bad_json_gallery_value_exit_2(self, tmp_path, capsys, payload, entry):
         path = tmp_path / "g.json"
@@ -228,6 +237,13 @@ class TestAdapt:
         path.write_text(json.dumps(payload))
         assert main(["adapt", "--gallery", str(path)]) == EXIT_CONTRACT
         assert "g.json: 'dimension': " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("dimension", [2**62, 10**400], ids=["2**62", "10**400"])
+    def test_json_dimension_numpy_cannot_shape_exit_2(self, tmp_path, capsys, dimension):
+        path = tmp_path / "g.json"
+        path.write_text(json.dumps({"dimension": dimension, "embeddings": []}))
+        assert main(["adapt", "--gallery", str(path)]) == EXIT_CONTRACT
+        assert "g.json: 'dimension': gallery dimension is too large" in capsys.readouterr().err
 
     @pytest.mark.parametrize("suffix", ["csv", "json"])
     @pytest.mark.parametrize(

@@ -90,6 +90,20 @@ class TestRegister:
         with pytest.raises(InputContractError):
             g.register("a", [1.0, float("nan"), 0.0])
 
+    @pytest.mark.parametrize("big", [10**400, -(10**400)], ids=["10**400", "-10**400"])
+    def test_an_int_too_large_for_a_float_is_non_finite(self, big):
+        # the error a float of that size (an infinity) gets, not an OverflowError
+        g = two_identity_gallery()
+        calls = [
+            lambda: g.register("a", [big, 0.0, 0.0]),
+            lambda: g.register_rows(["a", "b"], [[1.0, 0.0, 0.0], [0.0, big, 1.0]]),
+            lambda: g.match_query([1.0, big, 0.0], 0.5),
+        ]
+        for call in calls:
+            with pytest.raises(InputContractError, match="non-finite values"):
+                call()
+        assert len(g) == 3  # nothing was stored
+
     def test_empty_label_rejected(self):
         g = Gallery(3)
         with pytest.raises(InputContractError):
@@ -132,6 +146,13 @@ class TestRegister:
         with pytest.raises(TypeError):
             Gallery(2.9)
         assert Gallery(np.int64(3)).dimension == 3
+
+    @pytest.mark.parametrize(
+        "dimension", [2**62, 2**63, 10**400], ids=["2**62", "2**63", "10**400"]
+    )
+    def test_a_dimension_numpy_cannot_shape_is_a_contract_error(self, dimension):
+        with pytest.raises(InputContractError, match="dimension is too large"):
+            Gallery(dimension)
 
 
 # finite floats whose exponents span the whole range, subnormals included
@@ -1322,6 +1343,7 @@ class TestBatchedPersistence:
             ({"identity": "a", "instance_id": ["y"], "vector": [0.0, 1.0]}, "string, got list"),
             ([1, 2], "list indices"),
             ({"identity": "a", "instance_id": 5, "vector": [0.0, 1.0]}, "string, got int"),
+            ({"identity": "a", "instance_id": "y", "vector": [10**400, 1.0]}, "non-finite values"),
         ],
     )
     def test_malformed_entry_gets_the_error_register_gives(self, tmp_path, entry, message):

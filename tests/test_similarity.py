@@ -244,6 +244,54 @@ def test_rows_in_label_order_are_read_in_place(sizes, shuffle, seed):
     assert dist.cross_samples.tobytes() == np.sort(cross).tobytes()
 
 
+def per_pair_reference(unit, spans):
+    """The kernel with one Python iteration per identity pair, one-row
+    identities included: the same bands, so each sample has the bits of the
+    block maximum it stands for."""
+    n = len(spans)
+    auto, cross = [], []
+    i = 0
+    while i < n:
+        b_lo = spans[i][0]
+        j = i + 1
+        while j < n and spans[j][1] - b_lo <= similarity._BAND_ROWS:
+            j += 1
+        band = unit[b_lo : spans[j - 1][1]] @ unit[b_lo:].T
+        np.clip(band, -1.0, 1.0, out=band)
+        for k in range(i, j):
+            lo, hi = spans[k][0] - b_lo, spans[k][1] - b_lo
+            rows = band[lo:hi]
+            if hi - lo >= 2:
+                self_pairs = np.arange(lo, hi)
+                band[self_pairs, self_pairs] = -np.inf
+                auto.append(rows[:, lo:hi].max())
+            for lo_j, hi_j in spans[k + 1 :]:
+                cross.append(rows[:, lo_j - b_lo : hi_j - b_lo].max())
+        i = j
+    return np.sort(np.array(auto)), np.sort(np.array(cross))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    sizes=st.lists(st.integers(1, 5), min_size=2, max_size=24).filter(
+        lambda sizes: min(sizes) == 1 < max(sizes)
+    ),
+    band_rows=st.integers(2, 16),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_one_row_identities_keep_the_per_pair_bits(sizes, band_rows, seed):
+    # one-row identities sort before, between and after larger ones, and
+    # bands start and end on either kind
+    g = sized_gallery(sizes, seed=seed, shuffle=True)
+    _, rows, labels = g.unit_rows()
+    order = sorted(range(len(labels)), key=labels.__getitem__)
+    with mock.patch.object(similarity, "_BAND_ROWS", band_rows):
+        dist = build_distributions(g)
+        auto, cross = per_pair_reference(rows[order], spans_of(sizes))
+    assert dist.auto_samples.tobytes() == auto.tobytes()
+    assert dist.cross_samples.tobytes() == cross.tobytes()
+
+
 def test_built_sides_are_held_without_a_copy(make_gallery):
     g = make_gallery(num_identities=5, per_identity=3, seed=4)
     dist = build_distributions(g)
