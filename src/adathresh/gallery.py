@@ -56,7 +56,7 @@ def _shape_error(dimension: int, shape: tuple) -> DimensionMismatchError:
     return DimensionMismatchError(f"expected a vector of dimension {dimension}, got shape {shape}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Embedding:
     """One feature vector, tagged with its identity and a unique instance id."""
 
@@ -464,7 +464,10 @@ class Gallery:
         try:
             with open(path, encoding="utf-8") as fh:
                 payload = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except UnicodeDecodeError:
+            raise
+        except ValueError as exc:
+            # a JSONDecodeError, or an integer of more digits than int() takes
             raise GalleryFormatError(f"{path}: invalid JSON: {exc}") from exc
         if not isinstance(payload, dict) or "dimension" not in payload:
             raise GalleryFormatError(f"{path}: missing 'dimension' key")
@@ -531,15 +534,30 @@ def _for_csv(line: str) -> bool:
     )
 
 
+def _may_end_quoted(line: str) -> bool:
+    """Whether ``line``, read from the start of a row, may end inside a
+    quoted field: csv's strict reader, which numpy's reader agrees with on
+    where a quoted field starts and ends, either ends inside one or meets a
+    quote it would read loosely."""
+    try:
+        for _ in csv.reader((line,), strict=True):
+            pass
+    except csv.Error:
+        return True
+    return False
+
+
 class _Lines:
     """The lines of an open CSV file, for the loader's two readers, numbered
     as ``csv.reader`` numbers them: ``lineno`` counts the lines handed out,
     so after a csv row it is that row's last line.
 
     While numpy's reader reads, a line for csv (:func:`_for_csv`) is handed
-    back. If no line of the chunk held a quote, every line held one row, so
-    the chunk ends before it; otherwise it may continue a quoted field, and
-    the chunk is refused.
+    back. If the lines of the chunk end outside any quoted field, every row
+    has ended, so the chunk ends before it; otherwise it may continue a
+    quoted field, and the chunk is refused. Only a line that holds a quote
+    is checked, and once one may end inside a quoted field, the rest of the
+    chunk is taken to.
     """
 
     def __init__(self, fh):
@@ -547,7 +565,7 @@ class _Lines:
         self._back: str | None = None  # a line handed back, to hand out next
         self._replay = 0  # lines of a refused chunk for csv to read first
         self._numpy = False  # whether numpy's reader is reading
-        self._quoted = False  # whether a line it has read holds a quote
+        self._quoted = False  # whether the lines it read may end in a quoted field
         self.lineno = 0
 
     @property
@@ -572,7 +590,7 @@ class _Lines:
                 if self._quoted:
                     raise ValueError("a line for csv, perhaps inside a quoted field")
                 raise StopIteration
-            self._quoted = self._quoted or '"' in line
+            self._quoted = self._quoted or ('"' in line and _may_end_quoted(line))
         elif self._replay:
             self._replay -= 1
         self.lineno += 1

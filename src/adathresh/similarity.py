@@ -123,9 +123,20 @@ class SimilarityDistributions:
         )
 
 
-# Row budget of one band in ``_pairs_from_identities``: a band's working
-# memory is this many rows times the gallery size, in place of the full Gram.
-_BAND_ROWS = 256
+# Row count of one side of a tile in ``_pairs_from_identities``: every
+# product is one gemm of two zero-padded buffers whose row counts are
+# multiples of it, so a tile is _TILE x _TILE floats unless one identity
+# alone holds more rows.
+_TILE = 256
+
+
+def _zero_padded(buf: np.ndarray, block: np.ndarray) -> np.ndarray:
+    """``block`` copied into the top rows of ``buf``, followed by zero rows
+    up to the next multiple of ``_TILE``: a view of ``buf``."""
+    padded = buf[: -(-len(block) // _TILE) * _TILE]
+    padded[: len(block)] = block
+    padded[len(block) :] = 0.0
+    return padded
 
 
 def _pairs_from_identities(
@@ -135,60 +146,83 @@ def _pairs_from_identities(
     and between each unordered pair of identities (cross).
 
     ``unit`` holds unit rows grouped by identity; ``spans`` gives each
-    identity's ``(lo, hi)`` row range. The similarities are computed in row
-    bands of whole identities, at most ``_BAND_ROWS`` rows each unless one
-    identity alone is larger. A band is paired only with the rows from its
-    own start onward, which hold every pair its identities still need.
+    identity's ``(lo, hi)`` row range. The rows are cut into bands of whole
+    identities, at most ``_TILE`` rows each unless one identity alone holds
+    more, and each band is paired with itself and with every later band.
+    Both bands of a pair are copied into two distinct zero-padded buffers
+    whose row counts are multiples of ``_TILE``, and one gemm of the two
+    gives the pair's tile. Working memory is one tile and the two buffers,
+    however many rows the gallery holds.
 
-    An identity's cross samples against all later one-row identities come
-    from one column maximum of its rows, taken from the first such identity
-    onward and read at their columns; only later identities of two or more
-    rows are paired one at a time. A maximum is exact, so each sample has
-    the bits of the block maximum it stands for.
+    Every product has a padded shape, whatever its rows and wherever they
+    sit, so a sample's bits depend only on the rows of its own identities:
+    permuting the rows within an identity, or adding or dropping other
+    identities (which re-packs the bands), moves no sample. Two distinct
+    buffers keep the diagonal tile off ``syrk``, and the padding keeps a
+    small product off BLAS's small-matrix kernels; either would give the
+    same pair other bits in another tile.
+
+    In each tile, an identity's cross samples against the tile's later
+    one-row identities come from one column maximum of its rows, read at
+    their columns; its later identities of two or more rows are paired one
+    at a time. A maximum is exact, so each sample has the bits of the block
+    maximum it stands for. The samples come in tile order, not pair order.
     """
     n = len(spans)
     # the row of each one-row identity, and the spans of the larger ones
     single_rows = np.array([lo for lo, hi in spans if hi - lo == 1], dtype=np.intp)
     multi = [(lo, hi) for lo, hi in spans if hi - lo >= 2]
-    n_single = single_rows.size
+    # singles[k]: how many one-row identities come before identity k, so
+    # k - singles[k] larger ones do
+    singles = [0]
+    for lo, hi in spans:
+        singles.append(singles[-1] + (hi - lo == 1))
+    bands = []  # each band's identities, as a range [i, j)
+    i = 0
+    while i < n:
+        j = i + 1
+        while j < n and spans[j][1] - spans[i][0] <= _TILE:
+            j += 1
+        bands.append((i, j))
+        i = j
+    width = max(spans[j - 1][1] - spans[i][0] for i, j in bands)
+    row_buf = np.empty((-(-width // _TILE) * _TILE, unit.shape[1]))
+    col_buf = np.empty_like(row_buf)
     peak = np.empty(len(unit))  # column maxima, each at its row's position
     auto = np.empty(len(multi))
     cross = np.empty(n * (n - 1) // 2)
-    a = c = 0
-    s = 0  # once k is counted, single_rows[s:] and multi[a:] are the identities after it
-    i = 0
-    while i < n:
-        b_lo = spans[i][0]
-        j = i + 1
-        while j < n and spans[j][1] - b_lo <= _BAND_ROWS:
-            j += 1
-        band = unit[b_lo : spans[j - 1][1]] @ unit[b_lo:].T
-        np.clip(band, -1.0, 1.0, out=band)
-        for k in range(i, j):
-            lo, hi = spans[k][0] - b_lo, spans[k][1] - b_lo
-            rows = band[lo:hi]
-            if hi - lo >= 2:
-                # pairing an instance with itself always scores 1.0; only
-                # distinct-instance pairs carry information, so the self
-                # pairs are masked in place (no other pair reads them)
-                self_pairs = np.arange(lo, hi)
-                band[self_pairs, self_pairs] = -np.inf
-                auto[a] = rows[:, lo:hi].max()
-                a += 1
-            else:
-                s += 1
-            if s < n_single:
-                first = single_rows[s]
-                np.max(rows[:, first - b_lo :], axis=0, out=peak[first:])
-                c_end = c + n_single - s
-                cross[c:c_end] = peak[single_rows[s:]]
-                c = c_end
-            for lo_j, hi_j in multi[a:]:
-                cross[c] = rows[:, lo_j - b_lo : hi_j - b_lo].max()
-                c += 1
-        # free this band before the next one is computed
-        del band, rows
-        i = j
+    c = 0
+    for p, (i, j) in enumerate(bands):
+        r_lo = spans[i][0]
+        row_block = _zero_padded(row_buf, unit[r_lo : spans[j - 1][1]])
+        for i_col, j_col in bands[p:]:
+            c_lo, c_hi = spans[i_col][0], spans[j_col - 1][1]
+            tile = row_block @ _zero_padded(col_buf, unit[c_lo:c_hi]).T
+            np.clip(tile, -1.0, 1.0, out=tile)
+            s_end = singles[j_col]
+            for k in range(i, j):
+                lo, hi = spans[k][0] - r_lo, spans[k][1] - r_lo
+                rows = tile[lo:hi]
+                if i_col == i and hi - lo >= 2:
+                    # pairing an instance with itself always scores 1.0; only
+                    # distinct-instance pairs carry information, so the self
+                    # pairs are masked in place (no other pair reads them)
+                    self_pairs = np.arange(lo, hi)
+                    tile[self_pairs, self_pairs] = -np.inf
+                    auto[k - singles[k]] = rows[:, lo:hi].max()
+                # the identities of this tile's columns after k
+                after = max(k + 1, i_col)
+                s = singles[after]
+                if s < s_end:
+                    first = single_rows[s]
+                    np.max(rows[:, first - c_lo : c_hi - c_lo], axis=0, out=peak[first:c_hi])
+                    cross[c : c + s_end - s] = peak[single_rows[s:s_end]]
+                    c += s_end - s
+                for lo_j, hi_j in multi[after - s : j_col - s_end]:
+                    cross[c] = rows[:, lo_j - c_lo : hi_j - c_lo].max()
+                    c += 1
+            # free this tile before the next one is computed
+            del tile, rows
     return auto, cross
 
 

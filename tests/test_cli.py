@@ -217,6 +217,22 @@ class TestAdapt:
         assert main(["adapt", "--gallery", str(path)]) == EXIT_CONTRACT
         assert f"g.json: {entry}: " in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '{"dimension": %s, "embeddings": []}' % ("1" * 5001),
+            '{"dimension": 2, "embeddings": [{"identity": "a", "instance_id": "e1", '
+            '"vector": [1.0, %s]}]}' % ("1" * 5001),
+        ],
+        ids=["dimension", "vector"],
+    )
+    def test_json_integer_of_too_many_digits_exit_2(self, tmp_path, capsys, text):
+        # past int()'s 4,300-digit limit, json.load raises a bare ValueError
+        path = tmp_path / "g.json"
+        path.write_text(text)
+        assert main(["adapt", "--gallery", str(path)]) == EXIT_CONTRACT
+        assert "g.json: invalid JSON: " in capsys.readouterr().err
+
     @pytest.mark.parametrize("dimension", [2.9, "3", 2.0, True])
     def test_non_integer_json_dimension_exit_2(self, tmp_path, capsys, dimension):
         # each vector has the length int(dimension) gives, so only the type of

@@ -1246,6 +1246,38 @@ class TestBatchedPersistence:
         assert adathresh.gallery._LOAD_CHUNK >= 200
         assert loadtxt.call_count == 2
 
+    # row 290 of 300, in the last chunk, which the counter trailer ends
+    @pytest.mark.parametrize(
+        "label, values, chunks",
+        [
+            ('"a,b"', ["1", "0.5"], 2),
+            ('"a""b"', ["1", "0.5"], 2),
+            ('a"b', ["1", "0.5"], 2),
+            # a quoted field over two lines: the chunk is refused at the trailer
+            ('"a\nb"', ["1", "0.5"], 1),
+            # two quotes, yet the line ends inside a quoted field that holds
+            # a comment line: csv reads one value, which float() refuses
+            ('a"b', ["1", '"2\n# c\n3"'], 1),
+        ],
+        ids=["comma", "doubled quote", "stray quote", "newline", "open at the comment"],
+    )
+    def test_a_quoted_label_keeps_its_chunk_in_numpy(self, tmp_path, label, values, chunks):
+        rows = [(f"id{j % 7}", f"e{j}", [repr(1.0 + j), "0.5"]) for j in range(300)]
+        rows[290] = (label, "e290", values)
+        path = tmp_path / "g.csv"
+        path.write_text(csv_lines(rows) + "# change_counter=300\n")
+        real, took = adathresh.gallery._Lines.through_numpy, []
+
+        def spy(lines, gallery):
+            took.append(real(lines, gallery))
+            return took[-1]
+
+        with mock.patch.object(adathresh.gallery._Lines, "through_numpy", spy):
+            state = loaded_state(Gallery.load, path)
+        assert state == loaded_state(per_row_csv_load, path)
+        assert adathresh.gallery._LOAD_CHUNK == 256
+        assert sum(took) == chunks
+
     def test_each_embedding_owns_its_vector(self, tmp_path):
         rng = np.random.default_rng(65)
         g = Gallery(4)

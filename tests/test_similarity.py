@@ -5,7 +5,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from adathresh import (
@@ -17,7 +17,7 @@ from adathresh import (
     build_distributions,
     optimize_f1,
 )
-from adathresh import similarity
+from adathresh import optimizer, similarity
 from adathresh.similarity import unit_rows, unit_vector
 from conftest import large_sweep_samples, naive_distributions
 
@@ -184,21 +184,27 @@ def test_banded_build_matches_brute_force(band_rows, sizes, seed):
     g = Gallery(4)
     for i in rng.permutation(len(labels)):
         g.register(labels[i], rng.standard_normal(4))
-    with mock.patch.object(similarity, "_BAND_ROWS", band_rows):
+    with mock.patch.object(similarity, "_TILE", band_rows):
         dist = build_distributions(g)
     auto, cross = naive_distributions(g)
     assert dist.auto_samples == pytest.approx(sorted(auto), abs=1e-12)
     assert dist.cross_samples == pytest.approx(sorted(cross), abs=1e-12)
 
 
-def sized_gallery(sizes, dim=8, seed=0, shuffle=False) -> Gallery:
-    """Identity ``f"id{i:04d}"`` holds ``sizes[i]`` rows around a center of
-    its own; the rows are registered in label order, or in a random order
-    when ``shuffle``."""
+def sized_rows(sizes, dim=8, seed=0):
+    """Labels and raw rows: identity ``f"id{i:04d}"`` holds ``sizes[i]``
+    rows around a center of its own, in label order."""
     rng = np.random.default_rng(seed)
     labels = [f"id{i:04d}" for i, k in enumerate(sizes) for _ in range(k)]
     centers = rng.standard_normal((len(sizes), dim))
     block = np.repeat(centers, sizes, axis=0) + 0.5 * rng.standard_normal((len(labels), dim))
+    return labels, block, rng
+
+
+def sized_gallery(sizes, dim=8, seed=0, shuffle=False) -> Gallery:
+    """The rows of :func:`sized_rows`, registered in label order, or in a
+    random order when ``shuffle``."""
+    labels, block, rng = sized_rows(sizes, dim, seed)
     order = rng.permutation(len(labels)) if shuffle else np.arange(len(labels))
     g = Gallery(dim)
     g.register_rows([labels[k] for k in order], block[order])
@@ -246,29 +252,45 @@ def test_rows_in_label_order_are_read_in_place(sizes, shuffle, seed):
 
 def per_pair_reference(unit, spans):
     """The kernel with one Python iteration per identity pair, one-row
-    identities included: the same bands, so each sample has the bits of the
+    identities included, over the same bands and zero-padded tiles: the auto
+    sample of each identity of two or more rows, by identity, and the cross
+    sample of each pair ``(k, l)``, ``k < l``, each with the bits of the
     block maximum it stands for."""
     n = len(spans)
-    auto, cross = [], []
+
+    def padded(lo, hi):
+        block = unit[lo:hi]
+        return np.concatenate([block, np.zeros((-len(block) % similarity._TILE, block.shape[1]))])
+
+    bands = []
     i = 0
     while i < n:
-        b_lo = spans[i][0]
         j = i + 1
-        while j < n and spans[j][1] - b_lo <= similarity._BAND_ROWS:
+        while j < n and spans[j][1] - spans[i][0] <= similarity._TILE:
             j += 1
-        band = unit[b_lo : spans[j - 1][1]] @ unit[b_lo:].T
-        np.clip(band, -1.0, 1.0, out=band)
-        for k in range(i, j):
-            lo, hi = spans[k][0] - b_lo, spans[k][1] - b_lo
-            rows = band[lo:hi]
-            if hi - lo >= 2:
-                self_pairs = np.arange(lo, hi)
-                band[self_pairs, self_pairs] = -np.inf
-                auto.append(rows[:, lo:hi].max())
-            for lo_j, hi_j in spans[k + 1 :]:
-                cross.append(rows[:, lo_j - b_lo : hi_j - b_lo].max())
+        bands.append((i, j))
         i = j
-    return np.sort(np.array(auto)), np.sort(np.array(cross))
+    auto, cross = {}, {}
+    for p, (i, j) in enumerate(bands):
+        r_lo = spans[i][0]
+        for i_col, j_col in bands[p:]:
+            c_lo = spans[i_col][0]
+            # two distinct buffers, on the diagonal tile too
+            tile = padded(r_lo, spans[j - 1][1]) @ padded(c_lo, spans[j_col - 1][1]).T
+            np.clip(tile, -1.0, 1.0, out=tile)
+            for k in range(i, j):
+                lo, hi = spans[k][0] - r_lo, spans[k][1] - r_lo
+                if i_col == i and hi - lo >= 2:
+                    block = tile[lo:hi, lo:hi].copy()
+                    np.fill_diagonal(block, -np.inf)
+                    auto[k] = block.max()
+                for m in range(max(k + 1, i_col), j_col):
+                    cross[k, m] = tile[lo:hi, spans[m][0] - c_lo : spans[m][1] - c_lo].max()
+    return auto, cross
+
+
+def sorted_values(samples: dict) -> np.ndarray:
+    return np.sort(np.array(list(samples.values()), dtype=np.float64))
 
 
 @settings(max_examples=100, deadline=None)
@@ -285,11 +307,45 @@ def test_one_row_identities_keep_the_per_pair_bits(sizes, band_rows, seed):
     g = sized_gallery(sizes, seed=seed, shuffle=True)
     _, rows, labels = g.unit_rows()
     order = sorted(range(len(labels)), key=labels.__getitem__)
-    with mock.patch.object(similarity, "_BAND_ROWS", band_rows):
+    with mock.patch.object(similarity, "_TILE", band_rows):
         dist = build_distributions(g)
         auto, cross = per_pair_reference(rows[order], spans_of(sizes))
-    assert dist.auto_samples.tobytes() == auto.tobytes()
-    assert dist.cross_samples.tobytes() == cross.tobytes()
+    assert dist.auto_samples.tobytes() == sorted_values(auto).tobytes()
+    assert dist.cross_samples.tobytes() == sorted_values(cross).tobytes()
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    n=st.integers(100, 130),
+    dim=st.sampled_from([32, 128]),
+    drop=st.integers(1, 60),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_no_sample_moves_with_row_order_or_band_packing(n, dim, drop, seed):
+    # 100-130 identities of 1-5 rows fill two or more bands of 256 rows
+    sizes = np.random.default_rng(seed).integers(1, 6, n).tolist()
+    assume(sum(sizes) > similarity._TILE)
+    in_order = sized_gallery(sizes, dim=dim, seed=seed)
+    dist = build_distributions(in_order)
+    _, rows, _ = in_order.unit_rows()
+    auto, cross = per_pair_reference(rows, spans_of(sizes))
+    assert dist.auto_samples.tobytes() == sorted_values(auto).tobytes()
+    assert dist.cross_samples.tobytes() == sorted_values(cross).tobytes()
+    # registered in a random order: each identity's rows sit permuted
+    permuted = build_distributions(sized_gallery(sizes, dim=dim, seed=seed, shuffle=True))
+    assert permuted.auto_samples.tobytes() == dist.auto_samples.tobytes()
+    assert permuted.cross_samples.tobytes() == dist.cross_samples.tobytes()
+    # without the first identities every band is packed anew, and each
+    # remaining pair keeps its sample
+    labels, block, _ = sized_rows(sizes, dim, seed)
+    cut = sum(sizes[:drop])
+    rest = Gallery(dim)
+    rest.register_rows(labels[cut:], block[cut:])
+    kept = build_distributions(rest)
+    kept_auto = {k: v for k, v in auto.items() if k >= drop}
+    kept_cross = {kl: v for kl, v in cross.items() if kl[0] >= drop}
+    assert kept.auto_samples.tobytes() == sorted_values(kept_auto).tobytes()
+    assert kept.cross_samples.tobytes() == sorted_values(kept_cross).tobytes()
 
 
 def test_built_sides_are_held_without_a_copy(make_gallery):
@@ -303,16 +359,17 @@ def test_built_sides_are_held_without_a_copy(make_gallery):
     assert kept.cross_samples is dist.cross_samples
 
 
-def test_adapt_holds_one_band_and_one_copy_of_the_samples():
+def test_adapt_holds_one_tile_and_one_copy_of_the_samples():
     # long-tailed like LFW: mostly singletons, a few identities far above a
-    # band's row budget. A budget of 16 rows keeps the band, not the
-    # samples, small, as at LFW's scale. The largest identity sorts first,
-    # so the first band is the largest: its 70 rows against every row.
+    # tile's row count. Tiles of 16 rows keep the tile, not the samples,
+    # small, as at LFW's scale. The largest identity sorts first, so the
+    # largest tile is its 70 rows, padded to 80, against themselves. The f1
+    # sweep then holds one chunk's rates, about 15 arrays of a chunk.
     rng = np.random.default_rng(3)
     rest = [2] * 60 + [3] * 30 + [6] * 20 + [15] * 6 + [40] * 3 + [1] * 400
     sizes = [70, *rng.permutation(rest).tolist()]
     g = sized_gallery(sizes, dim=16, seed=3)
-    with mock.patch.object(similarity, "_BAND_ROWS", 16):
+    with mock.patch.object(similarity, "_TILE", 16):
         adapt(g)  # warm-up: lazy imports and caches
         tracemalloc.start()
         try:
@@ -320,13 +377,14 @@ def test_adapt_holds_one_band_and_one_copy_of_the_samples():
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-    band = 70 * sum(sizes) * 8
+    tile = 80 * 80 * 8
+    sweep = 16 * optimizer._SWEEP_CHUNK * 8
     auto = sum(1 for k in sizes if k >= 2)
     cross = len(sizes) * (len(sizes) - 1) // 2
     samples = (auto + cross) * 8
-    # a second copy of the samples, even without the band, would not fit
-    assert 2 * samples > band + 1.1 * samples
-    assert peak <= band + 1.1 * samples
+    # a second copy of the samples, even without the tile, would not fit
+    assert 2 * samples > max(tile, sweep) + 1.1 * samples
+    assert peak <= max(tile, sweep) + 1.1 * samples
 
 
 def test_build_memory_is_a_fraction_of_the_gram(make_gallery):
@@ -340,6 +398,22 @@ def test_build_memory_is_a_fraction_of_the_gram(make_gallery):
         tracemalloc.stop()
     gram_bytes = 2000 * 2000 * 8
     assert peak < gram_bytes / 3
+
+
+def test_build_memory_is_the_samples_and_a_few_tiles():
+    # a band of 256 rows against all 2,000 rows would take 3.9 MiB; the rows
+    # are in label order, so the build reads them in place
+    g = sized_gallery([4] * 500, dim=128, seed=2)
+    build_distributions(g)  # warm-up: lazy imports and caches
+    tracemalloc.start()
+    try:
+        build_distributions(g)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    samples = (500 + 500 * 499 // 2) * 8
+    tile = similarity._TILE * similarity._TILE * 8
+    assert peak <= samples + 4 * tile
 
 
 def test_sweep_memory_is_a_few_sample_arrays():
