@@ -198,7 +198,9 @@ def _pairs_from_identities(
         for i_col, j_col in bands[p:]:
             c_lo, c_hi = spans[i_col][0], spans[j_col - 1][1]
             tile = row_block @ _zero_padded(col_buf, unit[c_lo:c_hi]).T
-            np.clip(tile, -1.0, 1.0, out=tile)
+            # only the rows' own products are read: the padding stays unclipped
+            real = tile[: spans[j - 1][1] - r_lo, : c_hi - c_lo]
+            np.clip(real, -1.0, 1.0, out=real)
             s_end = singles[j_col]
             for k in range(i, j):
                 lo, hi = spans[k][0] - r_lo, spans[k][1] - r_lo
@@ -222,7 +224,7 @@ def _pairs_from_identities(
                     cross[c] = rows[:, lo_j - c_lo : hi_j - c_lo].max()
                     c += 1
             # free this tile before the next one is computed
-            del tile, rows
+            del tile, real, rows
     return auto, cross
 
 
