@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 import math
 import operator
@@ -29,9 +30,9 @@ FLOAT_FORMAT = ".17g"
 # the counters a saved gallery carries, in the order they are written
 _COUNTERS = ("change_counter", "registrations_since_adapt")
 
-# rows the CSV loader parses with one np.loadtxt call and registers with one
-# register_rows call; neither the text nor the parsed floats of a whole file
-# are held at once
+# rows the CSV loader parses and registers at a time: no np.loadtxt or
+# register_rows call of a load takes more, so neither the text nor the parsed
+# floats of a whole file are held at once
 _LOAD_CHUNK = 256
 
 # float32's unit roundoff: rounding to nearest moves a value by at most this
@@ -406,56 +407,50 @@ class Gallery:
     def _load_csv(cls, path: Path) -> "Gallery":
         meta: dict[str, str] = {}
         gallery = None
+        pending: list = []  # (line number, whole line or csv's fields), one per row
+        lineno = 0
         with open(path, newline="", encoding="utf-8") as fh:
-            lines = _Lines(fh)
-            reader = csv.reader(lines)
-            while True:
-                if gallery is not None and not lines.replaying:
-                    chunk.flush()  # the rows csv read come first
-                    if lines.through_numpy(gallery):
+            try:
+                for line in fh:
+                    if len(pending) == _LOAD_CHUNK:
+                        _register_chunk(gallery, path, pending)
+                        pending = []
+                    lineno += 1
+                    if gallery is not None and _whole_record(line):
+                        pending.append((lineno, line))
                         continue
-                row = next(reader, None)
-                if row is None:
-                    break
-                if len(row) <= 1:
-                    # one field: a blank line, a comment (the saved counters
-                    # are "# key=value" comments) or a malformed data row
-                    body = "".join(row).strip()
-                    if body.startswith("#"):
-                        key, eq, value = body.lstrip("#").partition("=")
-                        if eq:
-                            meta[key.strip()] = value
+                    reader = csv.reader(itertools.chain((line,), fh))
+                    row = next(reader)
+                    lineno += reader.line_num - 1
+                    if len(row) <= 1:
+                        # one field: a blank line, a comment (the saved counters
+                        # are "# key=value" comments) or a malformed data row
+                        body = "".join(row).strip()
+                        if body.startswith("#"):
+                            key, eq, value = body.lstrip("#").partition("=")
+                            if eq:
+                                meta[key.strip()] = value
+                            continue
+                        if not body:
+                            continue
+                    if gallery is None:
+                        if (
+                            len(row) < 4
+                            or row[0] != "identity"
+                            or row[1] != "instance_id"
+                            or row[2:] != [f"v{i}" for i in range(len(row) - 2)]
+                        ):
+                            raise GalleryFormatError(f"{path}: unrecognized header {row!r}")
+                        gallery = cls(len(row) - 2)
                         continue
-                    if not body:
-                        continue
-                if gallery is None:
-                    if (
-                        len(row) < 4
-                        or row[0] != "identity"
-                        or row[1] != "instance_id"
-                        or row[2:] != [f"v{i}" for i in range(len(row) - 2)]
-                    ):
-                        raise GalleryFormatError(f"{path}: unrecognized header {row!r}")
-                    gallery = cls(len(row) - 2)
-                    chunk = _Chunk(gallery, path)
-                    continue
-                lineno = lines.lineno
-                if len(row) != gallery.dimension + 2:
-                    chunk.flush()  # an earlier row's error comes first
-                    raise GalleryFormatError(
-                        f"{path}:{lineno}: row has {len(row)} fields, expected "
-                        f"{gallery.dimension + 2} (identity, instance_id, "
-                        f"{gallery.dimension} values)"
-                    )
-                try:
-                    vector = [float(x) for x in row[2:]]
-                except ValueError as exc:
-                    chunk.flush()
-                    raise GalleryFormatError(f"{path}:{lineno}: {exc}") from exc
-                chunk.add(row[0], row[1], vector, lineno)
+                    pending.append((lineno, row))
+            except UnicodeDecodeError:
+                # the rows read before the bad byte, and their errors, come first
+                _register_chunk(gallery, path, pending)
+                raise
         if gallery is None:
             raise GalleryFormatError(f"{path}: empty file, no header row")
-        chunk.flush()
+        _register_chunk(gallery, path, pending)
         gallery._apply_meta(path, meta, from_text=True)
         return gallery
 
@@ -519,162 +514,66 @@ class Gallery:
             setattr(self, key, value)
 
 
-def _for_csv(line: str) -> bool:
-    """Whether ``line`` goes to csv rather than to numpy's reader: a blank
-    line (numpy skips it, with a warning), a comment such as the counter
-    trailer (numpy would refuse the chunk it ends), and a line that holds
-    one of the separators U+001C-U+001F (numpy strips them from a value as
-    whitespace, where ``float()`` refuses them)."""
-    return (
-        line.lstrip()[:1] in ("", "#")
-        or "\x1c" in line
-        or "\x1d" in line
-        or "\x1e" in line
-        or "\x1f" in line
-    )
-
-
-def _may_end_quoted(line: str) -> bool:
-    """Whether ``line``, read from the start of a row, may end inside a
-    quoted field: csv's strict reader, which numpy's reader agrees with on
-    where a quoted field starts and ends, either ends inside one or meets a
-    quote it would read loosely."""
-    try:
-        for _ in csv.reader((line,), strict=True):
-            pass
-    except csv.Error:
+def _whole_record(line: str) -> bool:
+    """Whether ``line`` is a data row that ends on the line and that numpy's
+    reader and ``csv`` read alike. Not so: a blank line or a comment (numpy
+    skips a blank line with a warning), a line holding one of U+001C-U+001F
+    (numpy strips them from a value, where ``float()`` refuses them), and a
+    line with a quote that csv's strict reader refuses, as it may run on in a
+    quoted field, or reads as one field, as a quoted comment or blank is."""
+    if line.lstrip()[:1] in ("", "#") or any(sep in line for sep in "\x1c\x1d\x1e\x1f"):
+        return False
+    if '"' not in line:
         return True
-    return False
+    try:
+        return len(next(csv.reader((line,), strict=True))) > 1
+    except csv.Error:
+        return False
 
 
-class _Lines:
-    """The lines of an open CSV file, for the loader's two readers, numbered
-    as ``csv.reader`` numbers them: ``lineno`` counts the lines handed out,
-    so after a csv row it is that row's last line.
-
-    While numpy's reader reads, a line for csv (:func:`_for_csv`) is handed
-    back. If the lines of the chunk end outside any quoted field, every row
-    has ended, so the chunk ends before it; otherwise it may continue a
-    quoted field, and the chunk is refused. Only a line that holds a quote
-    is checked, and once one may end inside a quoted field, the rest of the
-    chunk is taken to.
-    """
-
-    def __init__(self, fh):
-        self._fh = fh
-        self._back: str | None = None  # a line handed back, to hand out next
-        self._replay = 0  # lines of a refused chunk for csv to read first
-        self._numpy = False  # whether numpy's reader is reading
-        self._quoted = False  # whether the lines it read may end in a quoted field
-        self.lineno = 0
-
-    @property
-    def replaying(self) -> bool:
-        """Whether csv must read the next line: one handed back, or one of
-        a chunk numpy refused."""
-        return self._back is not None or self._replay > 0
-
-    def __iter__(self):
-        return self
-
-    def __next__(self) -> str:
-        if self._back is None:
-            line = self._fh.readline()
-        else:
-            line, self._back = self._back, None
-        if not line:
-            raise StopIteration
-        if self._numpy:
-            if _for_csv(line):
-                self._back = line
-                if self._quoted:
-                    raise ValueError("a line for csv, perhaps inside a quoted field")
-                raise StopIteration
-            self._quoted = self._quoted or ('"' in line and _may_end_quoted(line))
-        elif self._replay:
-            self._replay -= 1
-        self.lineno += 1
-        return line
-
-    def through_numpy(self, gallery: Gallery) -> bool:
-        """Parse up to ``_LOAD_CHUNK`` rows with one ``np.loadtxt`` call and
-        register them with one ``register_rows`` call.
-
-        False when the next line is for csv (or there is none), or when
-        numpy refuses a row or ``register_rows`` a row: then the file goes
-        back to the chunk's start, and csv reads the lines numpy read before
-        numpy reads again.
-        """
-        dtype = [
-            ("identity", object),
-            ("instance_id", object),
-            ("v", np.float64, gallery.dimension),
-        ]
-        mark, lineno = self._fh.tell(), self.lineno
-        first = self._fh.readline()
-        if not first:
-            return False
-        self._back = first
-        if _for_csv(first):
-            return False
-        self._numpy, self._quoted = True, False
+def _register_chunk(gallery: Gallery, path: Path, pending: list) -> None:
+    """Register ``pending``'s ``(line number, whole line or csv's fields)``
+    rows with one ``register_rows`` call. numpy's reader parses the values
+    when every row is a whole line; otherwise ``np.array`` converts csv's
+    fields, reading each text as ``float()`` does. A refused chunk stores
+    nothing, and the rows one at a time name ``path`` and the first bad line."""
+    if not pending:
+        return
+    if all(isinstance(record, str) for _, record in pending):
         try:
-            rows = np.loadtxt(
-                self,
-                dtype=dtype,
+            parsed = np.loadtxt(
+                [line for _, line in pending],
+                dtype=[
+                    ("identity", object),
+                    ("instance_id", object),
+                    ("v", np.float64, gallery.dimension),
+                ],
                 delimiter=",",
                 quotechar='"',
                 comments=None,
-                max_rows=_LOAD_CHUNK,
                 ndmin=1,
             )
-            gallery.register_rows(rows["identity"], rows["v"], rows["instance_id"])
-        except UnicodeDecodeError:
-            raise
-        except (TypeError, ValueError):
-            self._fh.seek(mark)
-            self._back, self._replay, self.lineno = None, self.lineno - lineno, lineno
-            return False
-        finally:
-            self._numpy = False
-        return True
-
-
-class _Chunk:
-    """The rows the CSV loader's csv reader parsed, registered
-    ``_LOAD_CHUNK`` at a time through one float64 buffer. A row's error is
-    prefixed with ``path`` and the row's line number."""
-
-    def __init__(self, gallery: Gallery, path: Path):
-        self.gallery = gallery
-        self.path = path
-        self.block = np.empty((_LOAD_CHUNK, gallery.dimension))
-        self.labels: list = []
-        self.ids: list = []
-        self.linenos: list[int] = []
-
-    def add(self, identity, instance_id, vector, lineno: int) -> None:
-        self.block[len(self.labels)] = vector
-        self.labels.append(identity)
-        self.ids.append(instance_id)
-        self.linenos.append(lineno)
-        if len(self.labels) == _LOAD_CHUNK:
-            self.flush()
-
-    def flush(self) -> None:
-        """Register the rows added since the last flush."""
-        if not self.labels:
+            gallery.register_rows(parsed["identity"], parsed["v"], parsed["instance_id"])
             return
-        labels, ids, linenos = self.labels, self.ids, self.linenos
-        self.labels, self.ids, self.linenos = [], [], []
-        block = self.block[: len(labels)]
-        try:
-            self.gallery.register_rows(labels, block, ids)
         except (TypeError, ValueError):
-            # nothing was stored: the rows one at a time name the first bad line
-            for label, instance_id, row, lineno in zip(labels, ids, block, linenos):
-                try:
-                    self.gallery.register(label, row, instance_id=instance_id)
-                except (TypeError, ValueError) as exc:
-                    raise GalleryFormatError(f"{self.path}:{lineno}: {exc}") from exc
-            raise
+            pass
+    rows = [
+        next(csv.reader((record,))) if isinstance(record, str) else record
+        for _, record in pending
+    ]
+    try:
+        block = np.array([row[2:] for row in rows], dtype=np.float64)
+        gallery.register_rows([row[0] for row in rows], block, [row[1] for row in rows])
+        return
+    except (TypeError, ValueError, IndexError):
+        pass
+    for (lineno, _), row in zip(pending, rows):
+        if len(row) != gallery.dimension + 2:
+            raise GalleryFormatError(
+                f"{path}:{lineno}: row has {len(row)} fields, expected {gallery.dimension + 2}"
+                f" (identity, instance_id, {gallery.dimension} values)"
+            )
+        try:
+            gallery.register(row[0], [float(x) for x in row[2:]], instance_id=row[1])
+        except ValueError as exc:
+            raise GalleryFormatError(f"{path}:{lineno}: {exc}") from exc

@@ -1104,6 +1104,20 @@ def loaded_state(load, path):
     return g.dimension, gallery_contents(g)
 
 
+def load_chunks(path):
+    """:func:`loaded_state` of ``Gallery.load(path)``, and the rows each of
+    its ``np.loadtxt`` calls and each of its ``register_rows`` calls took."""
+    with mock.patch.object(np, "loadtxt", wraps=np.loadtxt) as loadtxt, mock.patch.object(
+        Gallery, "register_rows", autospec=True, side_effect=Gallery.register_rows
+    ) as register_rows:
+        state = loaded_state(Gallery.load, path)
+    return (
+        state,
+        [len(call.args[0]) for call in loadtxt.call_args_list],
+        [len(call.args[1]) for call in register_rows.call_args_list],
+    )
+
+
 def csv_lines(rows, dim=2):
     """A gallery CSV with one data row per ``(label, id, values)``."""
     header = ",".join(["identity", "instance_id"] + [f"v{i}" for i in range(dim)])
@@ -1183,10 +1197,11 @@ class TestBatchedPersistence:
         ["1_0", " 1", "1 ", "\u0661", "\xa01", "\x1f1", "1\x1c", "inf", "nan", "", "1e999",
          "0x1p3", "5e-324", "-0", '"2.5"', '"1\n"', '"1\n\n"', '"1\n\n2"', "zebra"]
     )  # fmt: skip
-    # lines between rows: comments, counters, blank and all-space lines
+    # lines between rows: comments, counters, blank and all-space lines,
+    # quoted or not
     between = st.sampled_from(
         ["# note", "# change_counter=9", "# registrations_since_adapt=1", "#",
-         "# change_counter=x", "", " ", "\t"]
+         "# change_counter=x", "", " ", "\t", '"# change_counter=4"', '""', '" "']
     )  # fmt: skip
 
     @settings(max_examples=300, deadline=None)
@@ -1231,7 +1246,10 @@ class TestBatchedPersistence:
             warnings.simplefilter("error")
             path = Path(tmp) / "g.csv"
             path.write_text(text + newline, encoding="utf-8", newline="")
-            assert loaded_state(Gallery.load, path) == loaded_state(per_row_csv_load, path)
+            state, parsed, registered = load_chunks(path)
+            assert state == loaded_state(per_row_csv_load, path)
+            # the memory promise: no call of a load takes more than a chunk
+            assert max(parsed + registered, default=0) <= chunk
 
     def test_a_refused_chunk_is_read_once_by_each_reader(self, tmp_path):
         # row 100 holds a value float() reads and numpy's reader refuses
@@ -1242,41 +1260,65 @@ class TestBatchedPersistence:
         with mock.patch.object(np, "loadtxt", wraps=np.loadtxt) as loadtxt:
             state = loaded_state(Gallery.load, path)
         assert state == loaded_state(per_row_csv_load, path)
-        # rows 0-100 refused, then rows 101-299 in one chunk
-        assert adathresh.gallery._LOAD_CHUNK >= 200
+        # rows 0-255 refused, then rows 256-299 in one chunk
+        assert adathresh.gallery._LOAD_CHUNK == 256
         assert loadtxt.call_count == 2
 
-    # row 290 of 300, in the last chunk, which the counter trailer ends
+    # row 290 of 300, in the second chunk (rows 256-299), which the counter
+    # trailer ends; each case gives the rows each np.loadtxt call and each
+    # register_rows call took
     @pytest.mark.parametrize(
-        "label, values, chunks",
+        "label, values, parsed, registered",
         [
-            ('"a,b"', ["1", "0.5"], 2),
-            ('"a""b"', ["1", "0.5"], 2),
-            ('a"b', ["1", "0.5"], 2),
-            # a quoted field over two lines: the chunk is refused at the trailer
-            ('"a\nb"', ["1", "0.5"], 1),
+            ('"a,b"', ["1", "0.5"], [256, 44], [256, 44]),
+            ('"a""b"', ["1", "0.5"], [256, 44], [256, 44]),
+            ('a"b', ["1", "0.5"], [256, 44], [256, 44]),
+            # a quoted field over two lines: csv splits the row, and np.array
+            # converts the chunk's values
+            ('"a\nb"', ["1", "0.5"], [256], [256, 44]),
             # two quotes, yet the line ends inside a quoted field that holds
-            # a comment line: csv reads one value, which float() refuses
-            ('a"b', ["1", '"2\n# c\n3"'], 1),
+            # a comment line: csv reads one value, which float() refuses, so
+            # the rows before it are registered one at a time
+            ('a"b', ["1", '"2\n# c\n3"'], [256], [256] + [1] * 34),
         ],
         ids=["comma", "doubled quote", "stray quote", "newline", "open at the comment"],
     )
-    def test_a_quoted_label_keeps_its_chunk_in_numpy(self, tmp_path, label, values, chunks):
+    def test_a_quoted_label_keeps_its_chunk_in_numpy(
+        self, tmp_path, label, values, parsed, registered
+    ):
         rows = [(f"id{j % 7}", f"e{j}", [repr(1.0 + j), "0.5"]) for j in range(300)]
         rows[290] = (label, "e290", values)
         path = tmp_path / "g.csv"
         path.write_text(csv_lines(rows) + "# change_counter=300\n")
-        real, took = adathresh.gallery._Lines.through_numpy, []
-
-        def spy(lines, gallery):
-            took.append(real(lines, gallery))
-            return took[-1]
-
-        with mock.patch.object(adathresh.gallery._Lines, "through_numpy", spy):
-            state = loaded_state(Gallery.load, path)
+        state, *chunks = load_chunks(path)
         assert state == loaded_state(per_row_csv_load, path)
         assert adathresh.gallery._LOAD_CHUNK == 256
-        assert sum(took) == chunks
+        assert chunks == [parsed, registered]
+
+    def test_rows_csv_splits_are_registered_a_chunk_at_a_time(self, tmp_path):
+        # every label holds a newline, so csv splits every row
+        rows = [(f'"id{j % 7}\nx"', f"e{j}", [repr(1.0 + j), "0.5"]) for j in range(600)]
+        path = tmp_path / "g.csv"
+        path.write_text(csv_lines(rows))
+        state, parsed, registered = load_chunks(path)
+        assert state == loaded_state(per_row_csv_load, path)
+        assert adathresh.gallery._LOAD_CHUNK == 256
+        assert parsed == [] and registered == [256, 256, 88]
+
+    def test_a_bad_row_fails_before_a_later_byte_that_is_not_utf8(self, tmp_path):
+        # the bad byte is in a later read of the file than the bad row, but
+        # in the same chunk: the row's error comes first, as it does when
+        # the rows are registered one at a time
+        rows = [(f"id{j % 7}", f"e{j}", [repr(j + k / 7) for k in range(128)]) for j in range(300)]
+        rows[3] = ("b", "e1", ["1"] * 128)
+        data = csv_lines(rows, dim=128).encode()
+        at = data.index(b",e100,") + 1
+        path = tmp_path / "g.csv"
+        path.write_bytes(data[:at] + b"\xff" + data[at + 1 :])
+        with pytest.raises(GalleryFormatError) as info:
+            Gallery.load(path)
+        assert str(info.value) == f"{path}:5: instance id 'e1' already present"
+        assert loaded_state(per_row_csv_load, path) == str(info.value)
 
     def test_each_embedding_owns_its_vector(self, tmp_path):
         rng = np.random.default_rng(65)
