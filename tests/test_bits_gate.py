@@ -26,11 +26,13 @@ import numpy as np
 from adathresh import (
     AdaptConfig,
     Gallery,
+    SimilarityDistributions,
     SynthSpec,
     adapt,
     build_distributions,
     generate_synthetic,
     metrics_at,
+    optimize_f1,
     simulate_stream,
 )
 from adathresh.cli import main as cli
@@ -76,6 +78,22 @@ def mixed_gallery() -> Gallery:
     g = Gallery(16)
     g.register_rows([labels[k] for k in order], rng.standard_normal((len(labels), 16)))
     return g
+
+
+def sweeps() -> list[tuple[float, float]]:
+    """The f1 sweep alone: tie-heavy sides that share values, some at and
+    beyond 0 and 1; a tie between two plateaus; a separable pair; and auto
+    wholly below 0, where f1 is 0 everywhere."""
+    rng = np.random.default_rng(11)
+    values = [-0.25, 0.0, 0.2, 0.3, 0.45, 0.5, 0.7, 1.0, 1.25]
+    cases = [(rng.choice(values[k:], 30), rng.choice(values[: k + 3], 90)) for k in range(1, 6)]
+    cases += [
+        (np.round(rng.normal(0.6, 0.3, 300), 2), np.round(rng.normal(0.3, 0.3, 3000), 2)),
+        ([0.4, 1.0], [0.2, 0.4, 0.4]),
+        ([0.9, 0.95], [0.1, 0.3]),
+        ([-0.4, -0.1], [0.2, 0.5]),
+    ]
+    return [optimize_f1(SimilarityDistributions(auto, cross)) for auto, cross in cases]
 
 
 def digests(tmp: Path) -> dict[str, str]:
@@ -130,6 +148,7 @@ def digests(tmp: Path) -> dict[str, str]:
         "stream": _sha(events, gallery_contents(enrolled)),
         "roc": _sha(roc.read_bytes()),
         "metrics_at": _sha(rates),
+        "optimize_f1": _sha(sweeps()),
         "persistence": _sha(gallery_contents(back)),
     }
 
