@@ -1,5 +1,4 @@
 import tracemalloc
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -25,6 +24,7 @@ from adathresh import (
     select_threshold,
 )
 from adathresh import optimizer
+from adathresh.metrics import rates_at
 from conftest import (
     clustered_gallery,
     f1_by_counts,
@@ -83,9 +83,7 @@ class TestOptimizeF1:
 
     def test_exact_above_a_hundred_thousand_distinct_values(self):
         auto, cross = large_sweep_samples()
-        # a chunk size that leaves a short last chunk
-        with mock.patch.object(optimizer, "_SWEEP_CHUNK", 1000):
-            lam, f1 = optimize_f1(SimilarityDistributions(auto, cross))
+        lam, f1 = optimize_f1(SimilarityDistributions(auto, cross))
         # oracle: cumulative counts over the merged distinct values, where
         # every sample lies inside (0, 1)
         values, inverse = np.unique(np.concatenate([auto, cross]), return_inverse=True)
@@ -116,9 +114,9 @@ class TestOptimizeF1:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # one chunk's rates (about 0.44 MB), under one copy of the 963 KB of
-        # samples
-        assert peak <= 600_000
+        # a few arrays of the auto side's candidates, far under one copy of
+        # the 963 KB of samples
+        assert peak < 16 * (auto.size + 2) * 8
         assert (lam, f1) == plateau_optimum(auto, cross, f1_by_counts(auto, cross))
 
 
@@ -135,17 +133,13 @@ SAMPLES = st.lists(
 
 
 @settings(max_examples=200, deadline=None)
-@given(auto=SAMPLES, cross=SAMPLES, chunk=st.sampled_from([1, 2, 3]))
-# the bounds are scored first, in a chunk of their own: hi's plateau (0.4, 1]
-# ties the lowest winning plateau (0.2, 0.4] at f1 2/3, and the tie must go
-# to the lower one
-@example(auto=[0.4, 1.0], cross=[0.2, 0.4, 0.4], chunk=1)
-def test_sweep_is_exact_on_every_plateau(auto, cross, chunk):
+@given(auto=SAMPLES, cross=SAMPLES)
+# hi's plateau (0.4, 1] ties the lowest winning plateau (0.2, 0.4] at f1 2/3,
+# and the tie must go to the lower one
+@example(auto=[0.4, 1.0], cross=[0.2, 0.4, 0.4])
+def test_sweep_is_exact_on_every_plateau(auto, cross):
     dist = SimilarityDistributions(auto, cross)
-    # at most 62 candidates: one chunk at the default size, many at the patched
-    with mock.patch.object(optimizer, "_SWEEP_CHUNK", chunk):
-        lam, f1 = optimize_f1(dist)
-    assert (lam, f1) == optimize_f1(dist)
+    lam, f1 = optimize_f1(dist)
     assert metrics_at(dist, lam).f1 == f1
 
     def naive(ts):
@@ -154,6 +148,22 @@ def test_sweep_is_exact_on_every_plateau(auto, cross, chunk):
     # the best f1, at the midpoint of the lowest plateau reaching it
     assert (lam, f1) == plateau_optimum(auto, cross, naive)
     assert 0.0 <= lam <= 1.0
+
+
+@settings(max_examples=200, deadline=None)
+@given(auto=SAMPLES, cross=SAMPLES)
+def test_no_cross_value_beats_the_next_auto_candidate(auto, cross):
+    # the sweep scores only the bounds and the in-bound auto values: at every
+    # cross value c in [0, 1], the smallest such candidate a >= c scores
+    # strictly more, or c is a itself, or f1 is 0 with no true positive
+    dist = SimilarityDistributions(auto, cross)
+    candidates = np.unique([0.0, 1.0, *[v for v in auto if 0.0 < v < 1.0]])
+    c = np.unique([v for v in cross if 0.0 <= v <= 1.0])
+    a = candidates[np.searchsorted(candidates, c, side="left")]
+    at_c, at_a = rates_at(dist, c), rates_at(dist, a)
+    assert np.all(
+        (at_c.f1 < at_a.f1) | (a == c) | ((at_c.f1 == 0.0) & (at_c.tp == 0.0))
+    )
 
 
 def _outcome(fn, dist):

@@ -17,7 +17,7 @@ from adathresh import (
     build_distributions,
     optimize_f1,
 )
-from adathresh import optimizer, similarity
+from adathresh import similarity, stats
 from adathresh.similarity import unit_rows, unit_vector
 from conftest import large_sweep_samples, naive_distributions
 
@@ -363,8 +363,9 @@ def test_adapt_holds_one_tile_and_one_copy_of_the_samples():
     # long-tailed like LFW: mostly singletons, a few identities far above a
     # tile's row count. Tiles of 16 rows keep the tile, not the samples,
     # small, as at LFW's scale. The largest identity sorts first, so the
-    # largest tile is its 70 rows, padded to 80, against themselves. The f1
-    # sweep then holds one chunk's rates, about 15 arrays of a chunk.
+    # largest tile is its 70 rows, padded to 80, against themselves. The
+    # Gaussian fit then holds one leaf of deviations, and the f1 sweep a few
+    # arrays of the auto side's candidates.
     rng = np.random.default_rng(3)
     rest = [2] * 60 + [3] * 30 + [6] * 20 + [15] * 6 + [40] * 3 + [1] * 400
     sizes = [70, *rng.permutation(rest).tolist()]
@@ -378,13 +379,14 @@ def test_adapt_holds_one_tile_and_one_copy_of_the_samples():
         finally:
             tracemalloc.stop()
     tile = 80 * 80 * 8
-    sweep = 16 * optimizer._SWEEP_CHUNK * 8
     auto = sum(1 for k in sizes if k >= 2)
+    sweep = 16 * (auto + 2) * 8
+    fit = stats._VAR_LEAF * 8
     cross = len(sizes) * (len(sizes) - 1) // 2
     samples = (auto + cross) * 8
     # a second copy of the samples, even without the tile, would not fit
-    assert 2 * samples > max(tile, sweep) + 1.1 * samples
-    assert peak <= max(tile, sweep) + 1.1 * samples
+    assert 2 * samples > max(tile, sweep, fit) + 1.1 * samples
+    assert peak <= max(tile, sweep, fit) + 1.1 * samples
 
 
 def test_build_memory_is_a_fraction_of_the_gram(make_gallery):
@@ -417,8 +419,8 @@ def test_build_memory_is_the_samples_and_a_few_tiles():
 
 
 def test_sweep_memory_is_a_few_sample_arrays():
-    # scoring every candidate in one rates_at call peaks at about 15 sample
-    # arrays; in chunks over views of the sides, one chunk's rates
+    # scoring every value of both sides would peak at about 15 sample arrays;
+    # the sweep scores the bounds and the auto side's in-bound values only
     auto, cross = large_sweep_samples()
     dist = SimilarityDistributions(auto, cross)
     optimize_f1(dist)  # warm-up: lazy imports and caches
@@ -428,7 +430,7 @@ def test_sweep_memory_is_a_few_sample_arrays():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 4 * (auto.size + cross.size) * 8
+    assert peak < 16 * (auto.size + 2) * 8
 
 
 class TestSimilarityDistributionsEquality:
