@@ -35,6 +35,10 @@ _COUNTERS = ("change_counter", "registrations_since_adapt")
 # floats of a whole file are held at once
 _LOAD_CHUNK = 256
 
+# the largest csv field limit every platform takes (a C long): the loader
+# raises the default, 131,072 characters, so that a longer label loads back
+_CSV_FIELD_LIMIT = 2**31 - 1
+
 # float32's unit roundoff: rounding to nearest moves a value by at most this
 # share of its magnitude
 _EPS32 = 2.0**-24
@@ -391,7 +395,10 @@ class Gallery:
         """Read a gallery saved by :meth:`save` (or any file in those formats).
 
         A malformed file, one that is not valid UTF-8 included, raises
-        :class:`GalleryFormatError`.
+        :class:`GalleryFormatError`. Reading CSV raises the process-wide
+        ``csv.field_size_limit`` to 2**31 - 1 characters (it never lowers
+        it): csv's default of 131,072 refuses a longer quoted label, which
+        :meth:`save` writes.
         """
         path = Path(path)
         if not path.exists():
@@ -405,6 +412,7 @@ class Gallery:
 
     @classmethod
     def _load_csv(cls, path: Path) -> "Gallery":
+        csv.field_size_limit(max(csv.field_size_limit(), _CSV_FIELD_LIMIT))
         meta: dict[str, str] = {}
         gallery = None
         pending: list = []  # (line number, whole line or csv's fields), one per row

@@ -114,6 +114,25 @@ class TestAdapt:
     def test_missing_file_exit_2(self, tmp_path):
         assert main(["adapt", "--gallery", str(tmp_path / "nope.csv")]) == EXIT_CONTRACT
 
+    def test_labels_past_csvs_default_field_limit_load(self, tmp_path, capsys):
+        # csv refuses a field of more than 131,072 characters by default; each
+        # of these labels is 200,000 characters, and save quotes both
+        labels = ['x"' * 100_000, "x," * 100_000, "a", "b"]
+        g = Gallery(4)
+        rng = np.random.default_rng(0)
+        for label in labels:
+            g.register_rows([label] * 2, rng.standard_normal((2, 4)))
+        path = tmp_path / "long.csv"
+        g.save(path)
+        back = Gallery.load(path)
+        assert back.identities == g.identities
+        for label in labels:
+            assert [(e.instance_id, e.vector.tobytes()) for e in back.embeddings_of(label)] == [
+                (e.instance_id, e.vector.tobytes()) for e in g.embeddings_of(label)
+            ]
+        assert main(["adapt", "--gallery", str(path)]) == EXIT_OK
+        assert json.loads(capsys.readouterr().out)["gallery_version"] == g.change_counter
+
     def test_tau_flag_recorded(self, synth_file, capsys):
         code = main(["adapt", "--gallery", str(synth_file), "--tau", "0.91"])
         assert code == EXIT_OK
