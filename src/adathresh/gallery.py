@@ -35,10 +35,6 @@ _COUNTERS = ("change_counter", "registrations_since_adapt")
 # floats of a whole file are held at once
 _LOAD_CHUNK = 256
 
-# the largest csv field limit every platform takes (a C long): the loader
-# raises the default, 131,072 characters, so that a longer label loads back
-_CSV_FIELD_LIMIT = 2**31 - 1
-
 # float32's unit roundoff: rounding to nearest moves a value by at most this
 # share of its magnitude
 _EPS32 = 2.0**-24
@@ -412,7 +408,9 @@ class Gallery:
 
     @classmethod
     def _load_csv(cls, path: Path) -> "Gallery":
-        csv.field_size_limit(max(csv.field_size_limit(), _CSV_FIELD_LIMIT))
+        # csv's default limit, 131,072 characters, refuses a longer quoted
+        # label; 2**31 - 1 is the largest that every platform's C long holds
+        csv.field_size_limit(max(csv.field_size_limit(), 2**31 - 1))
         meta: dict[str, str] = {}
         gallery = None
         pending: list = []  # (line number, whole line or csv's fields), one per row

@@ -23,6 +23,7 @@ logger = logging.getLogger(__name__)
 
 Provenance = Literal["intersection", "mean_fallback", "optimized", "retained_old"]
 
+
 @dataclass(frozen=True)
 class AdaptConfig:
     """Tunables for the adaptive threshold pipeline.

@@ -419,8 +419,8 @@ def test_build_memory_is_the_samples_and_a_few_tiles():
 
 
 def test_sweep_memory_is_a_few_sample_arrays():
-    # scoring every value of both sides would peak at about 15 sample arrays;
-    # the sweep scores the bounds and the auto side's in-bound values only
+    # the sweep scores the bounds and the auto side's in-bound values, so it
+    # holds a few arrays of the auto side's length, not of the samples'
     auto, cross = large_sweep_samples()
     dist = SimilarityDistributions(auto, cross)
     optimize_f1(dist)  # warm-up: lazy imports and caches
