@@ -80,6 +80,21 @@ def mixed_gallery() -> Gallery:
     return g
 
 
+def tall_gallery() -> Gallery:
+    """Identities of 300 rows, more than one band holds, between groups of
+    identities of 1-5 rows in label order, registered out of label order."""
+    rng = np.random.default_rng(10)
+    sizes = []
+    for _ in range(4):
+        sizes += [*rng.integers(1, 6, 12).tolist(), 300]
+    sizes += rng.integers(1, 6, 12).tolist()
+    labels = [f"t{k:03d}" for k, size in enumerate(sizes) for _ in range(size)]
+    order = rng.permutation(len(labels))
+    g = Gallery(16)
+    g.register_rows([labels[k] for k in order], rng.standard_normal((len(labels), 16)))
+    return g
+
+
 def sweeps() -> list[tuple[float, float]]:
     """The f1 sweep alone: tie-heavy sides that share values, some at and
     beyond 0 and 1; a tie between two plateaus; a separable pair; and auto
@@ -100,6 +115,7 @@ def digests(tmp: Path) -> dict[str, str]:
     g = generate_synthetic(SPEC)
     dist = build_distributions(g)
     mixed = build_distributions(mixed_gallery())
+    tall = build_distributions(tall_gallery())
     states = [adapt(g, None, AdaptConfig()), adapt(g, None, AdaptConfig(tau=1.0, tpr_denominator="paper"))]
 
     grow = tmp / "grow.csv"
@@ -143,6 +159,7 @@ def digests(tmp: Path) -> dict[str, str]:
     return {
         "samples": _sha(dist.auto_samples.tobytes(), dist.cross_samples.tobytes()),
         "samples-mixed": _sha(mixed.auto_samples.tobytes(), mixed.cross_samples.tobytes()),
+        "samples-tall": _sha(tall.auto_samples.tobytes(), tall.cross_samples.tobytes()),
         "adapt": _sha(states),
         "simulate": _sha(code, (tmp / "rows.csv").read_bytes(), (tmp / "summary.json").read_bytes()),
         "stream": _sha(events, gallery_contents(enrolled)),
