@@ -130,29 +130,31 @@ class SimilarityDistributions:
 _TILE = 256
 
 
-def _zero_padded(buf: np.ndarray, block: np.ndarray) -> np.ndarray:
-    """``block`` copied into the top rows of ``buf``, followed by zero rows
-    up to the next multiple of ``_TILE``: a view of ``buf``."""
-    padded = buf[: -(-len(block) // _TILE) * _TILE]
-    padded[: len(block)] = block
-    padded[len(block) :] = 0.0
+def _zero_padded(buf: np.ndarray, unit: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """``unit[idx]`` copied into the top rows of ``buf``, followed by zero
+    rows up to the next multiple of ``_TILE``: a view of ``buf``. ``idx`` is
+    in range; ``mode="clip"`` lets ``np.take`` write into ``buf`` unbuffered."""
+    padded = buf[: -(-len(idx) // _TILE) * _TILE]
+    np.take(unit, idx, axis=0, out=padded[: len(idx)], mode="clip")
+    padded[len(idx) :] = 0.0
     return padded
 
 
 def _pairs_from_identities(
-    unit: np.ndarray, spans: list[tuple[int, int]]
+    unit: np.ndarray, order: np.ndarray, spans: list[tuple[int, int]]
 ) -> tuple[np.ndarray, np.ndarray]:
     """Best similarity within each identity holding two or more rows (auto)
     and between each unordered pair of identities (cross).
 
-    ``unit`` holds unit rows grouped by identity; ``spans`` gives each
-    identity's ``(lo, hi)`` row range. The rows are cut into bands of whole
-    identities, at most ``_TILE`` rows each unless one identity alone holds
-    more, and each band is paired with itself and with every later band.
-    Both bands of a pair are copied into two distinct zero-padded buffers
-    whose row counts are multiples of ``_TILE``, and one gemm of the two
-    gives the pair's tile. Working memory is one tile and the two buffers,
-    however many rows the gallery holds.
+    ``order`` lists the rows of ``unit`` grouped by identity, and ``spans``
+    gives each identity's ``(lo, hi)`` range of positions in ``order``. The
+    rows are cut into bands of whole identities, at most ``_TILE`` rows each
+    unless one identity alone holds more, and each band is paired with
+    itself and with every later band. Both bands of a pair are gathered from
+    ``unit`` into two distinct zero-padded buffers whose row counts are
+    multiples of ``_TILE``, and one gemm of the two gives the pair's tile.
+    Working memory is one tile and the two buffers, however many rows the
+    gallery holds.
 
     Every product has a padded shape, whatever its rows and wherever they
     sit, so a sample's bits depend only on the rows of its own identities:
@@ -194,10 +196,10 @@ def _pairs_from_identities(
     c = 0
     for p, (i, j) in enumerate(bands):
         r_lo = spans[i][0]
-        row_block = _zero_padded(row_buf, unit[r_lo : spans[j - 1][1]])
+        row_block = _zero_padded(row_buf, unit, order[r_lo : spans[j - 1][1]])
         for i_col, j_col in bands[p:]:
             c_lo, c_hi = spans[i_col][0], spans[j_col - 1][1]
-            tile = row_block @ _zero_padded(col_buf, unit[c_lo:c_hi]).T
+            tile = row_block @ _zero_padded(col_buf, unit, order[c_lo:c_hi]).T
             # only the rows' own products are read: the padding stays unclipped
             real = tile[: spans[j - 1][1] - r_lo, : c_hi - c_lo]
             np.clip(real, -1.0, 1.0, out=real)
@@ -236,22 +238,18 @@ def build_distributions(gallery: "Gallery") -> SimilarityDistributions:
     sample. An empty auto side is returned as-is (and logged); callers that
     need Gaussian estimates should check ``estimable`` first.
     """
-    version, rows, labels = gallery.unit_rows()
-    # rows already in sorted-label order are read in place, not gathered
-    if any(a > b for a, b in zip(labels, labels[1:])):
-        # a stable sort keeps each identity's rows in registration order
-        order = sorted(range(len(labels)), key=labels.__getitem__)
-        labels = [labels[k] for k in order]
-        rows = rows[order]
+    version, unit, labels = gallery.unit_rows()
+    # a stable sort keeps each identity's rows in registration order
+    order = sorted(range(len(labels)), key=labels.__getitem__)
     spans = []
     lo = 0
-    for _, group in groupby(labels):
+    for _, group in groupby(map(labels.__getitem__, order)):
         hi = lo + sum(1 for _ in group)
         spans.append((lo, hi))
         lo = hi
     if len(spans) < 2:
         raise InputContractError("need at least 2 identities to form cross pairs")
-    auto, cross = _pairs_from_identities(rows, spans)
+    auto, cross = _pairs_from_identities(unit, np.array(order, dtype=np.intp), spans)
     if not auto.size:
         logger.warning(
             "no identity has two or more embeddings: auto distribution is empty"

@@ -217,16 +217,17 @@ def spans_of(sizes) -> list[tuple[int, int]]:
 
 
 def build_reading(g):
-    """``build_distributions(g)`` and the unit rows its kernel was given."""
+    """``build_distributions(g)``, and the unit rows and the row order its
+    kernel was given."""
     given, real = [], similarity._pairs_from_identities
 
-    def spy(unit, spans):
-        given.append(unit)
-        return real(unit, spans)
+    def spy(unit, order, spans):
+        given.append((unit, order))
+        return real(unit, order, spans)
 
     with mock.patch.object(similarity, "_pairs_from_identities", spy):
         dist = build_distributions(g)
-    return dist, given[0]
+    return dist, *given[0]
 
 
 @settings(max_examples=60, deadline=None)
@@ -235,19 +236,18 @@ def build_reading(g):
     shuffle=st.booleans(),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_rows_in_label_order_are_read_in_place(sizes, shuffle, seed):
+def test_the_kernel_gathers_from_the_gallerys_own_rows(sizes, shuffle, seed):
     g = sized_gallery(sizes, seed=seed, shuffle=shuffle)
     _, rows, labels = g.unit_rows()
+    dist, read, order = build_reading(g)
+    # no copy of the rows, in label order or not: each band is gathered
+    assert np.shares_memory(read, rows)
     # a stable sort keeps each identity's rows in registration order
-    order = sorted(range(len(labels)), key=labels.__getitem__)
-    in_order = order == list(range(len(labels)))
-    dist, read = build_reading(g)
-    assert np.shares_memory(read, rows) == in_order
-    assert read.tobytes() == rows[order].tobytes()
-    # every sample keeps the bits of the kernel over the gathered rows
-    auto, cross = similarity._pairs_from_identities(rows[order], spans_of(sizes))
-    assert dist.auto_samples.tobytes() == np.sort(auto).tobytes()
-    assert dist.cross_samples.tobytes() == np.sort(cross).tobytes()
+    ranked = sorted(range(len(labels)), key=labels.__getitem__)
+    assert order.dtype == np.intp and order.tolist() == ranked
+    auto, cross = per_pair_reference(rows[ranked], spans_of(sizes))
+    assert dist.auto_samples.tobytes() == sorted_values(auto).tobytes()
+    assert dist.cross_samples.tobytes() == sorted_values(cross).tobytes()
 
 
 def per_pair_reference(unit, spans):
@@ -402,10 +402,12 @@ def test_build_memory_is_a_fraction_of_the_gram(make_gallery):
     assert peak < gram_bytes / 3
 
 
-def test_build_memory_is_the_samples_and_a_few_tiles():
-    # a band of 256 rows against all 2,000 rows would take 3.9 MiB; the rows
-    # are in label order, so the build reads them in place
-    g = sized_gallery([4] * 500, dim=128, seed=2)
+@pytest.mark.parametrize("shuffle", [False, True], ids=["in-label-order", "shuffled"])
+def test_build_memory_is_the_samples_and_a_few_tiles(shuffle):
+    # a band of 256 rows against all 2,000 rows would take 3.9 MiB, and a
+    # copy of the rows in label order 2 MiB: each band is gathered from the
+    # gallery's rows, in whatever order they were registered
+    g = sized_gallery([4] * 500, dim=128, seed=2, shuffle=shuffle)
     build_distributions(g)  # warm-up: lazy imports and caches
     tracemalloc.start()
     try:
