@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from itertools import groupby
+from itertools import accumulate, groupby
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -230,6 +230,12 @@ def _pairs_from_identities(
     return auto, cross
 
 
+def _spans(sizes) -> list[tuple[int, int]]:
+    """The ``(lo, hi)`` ranges of consecutive runs of ``sizes`` rows."""
+    bounds = list(accumulate(sizes, initial=0))
+    return list(zip(bounds, bounds[1:]))
+
+
 def build_distributions(gallery: "Gallery") -> SimilarityDistributions:
     """Collect the per-pair best similarities into auto and cross sample sets.
 
@@ -240,16 +246,18 @@ def build_distributions(gallery: "Gallery") -> SimilarityDistributions:
     """
     version, unit, labels = gallery.unit_rows()
     # a stable sort keeps each identity's rows in registration order
-    order = sorted(range(len(labels)), key=labels.__getitem__)
-    spans = []
-    lo = 0
-    for _, group in groupby(map(labels.__getitem__, order)):
-        hi = lo + sum(1 for _ in group)
-        spans.append((lo, hi))
-        lo = hi
+    ranked = sorted(range(len(labels)), key=labels.__getitem__)
+    order = np.array(ranked, dtype=np.intp)
+    spans = _spans(sum(1 for _ in group) for _, group in groupby(map(labels.__getitem__, ranked)))
     if len(spans) < 2:
         raise InputContractError("need at least 2 identities to form cross pairs")
-    auto, cross = _pairs_from_identities(unit, np.array(order, dtype=np.intp), spans)
+    # an identity of more than _TILE rows is a band of its own: packed after
+    # all the others, it cuts no run of smaller identities into short bands
+    if any(hi - lo > _TILE for lo, hi in spans):
+        spans.sort(key=lambda span: span[1] - span[0] > _TILE)
+        order = np.concatenate([order[lo:hi] for lo, hi in spans])
+        spans = _spans(hi - lo for lo, hi in spans)
+    auto, cross = _pairs_from_identities(unit, order, spans)
     if not auto.size:
         logger.warning(
             "no identity has two or more embeddings: auto distribution is empty"

@@ -348,6 +348,36 @@ def test_no_sample_moves_with_row_order_or_band_packing(n, dim, drop, seed):
     assert kept.cross_samples.tobytes() == sorted_values(kept_cross).tobytes()
 
 
+def test_identities_above_a_band_are_packed_after_the_rest():
+    # four identities of 300 rows, each between groups of 1-5-row ones: in
+    # label order they would cut the small ones into five short bands
+    rng = np.random.default_rng(4)
+    sizes = []
+    for _ in range(4):
+        sizes += [*rng.integers(1, 6, 12).tolist(), 300]
+    sizes += rng.integers(1, 6, 12).tolist()
+    g = sized_gallery(sizes, dim=16, seed=4, shuffle=True)
+    calls, real = [], similarity._zero_padded
+
+    def spy(buf, unit, idx):
+        calls.append(len(idx))
+        return real(buf, unit, idx)
+
+    with mock.patch.object(similarity, "_zero_padded", spy):
+        dist = build_distributions(g)
+    # the small identities fill one band and each large one is a band of its
+    # own: five row bands and 15 tiles, so 20 bands copied, against nine row
+    # bands, 45 tiles and 54 copies in label order
+    small = sum(k for k in sizes if k < 300)
+    assert small <= similarity._TILE
+    assert sorted(calls) == [small] * 2 + [300] * 18
+    _, rows, labels = g.unit_rows()
+    ranked = sorted(range(len(labels)), key=labels.__getitem__)
+    auto, cross = per_pair_reference(rows[ranked], spans_of(sizes))
+    assert dist.auto_samples.tobytes() == sorted_values(auto).tobytes()
+    assert dist.cross_samples.tobytes() == sorted_values(cross).tobytes()
+
+
 def test_built_sides_are_held_without_a_copy(make_gallery):
     g = make_gallery(num_identities=5, per_identity=3, seed=4)
     dist = build_distributions(g)
