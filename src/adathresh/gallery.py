@@ -478,8 +478,9 @@ class Gallery:
                 payload = json.load(fh)
         except UnicodeDecodeError:
             raise
-        except ValueError as exc:
-            # a JSONDecodeError, or an integer of more digits than int() takes
+        except (ValueError, RecursionError) as exc:
+            # a JSONDecodeError, an integer of more digits than int() takes,
+            # or arrays or objects nested deeper than the decoder recurses
             raise GalleryFormatError(f"{path}: invalid JSON: {exc}") from exc
         if not isinstance(payload, dict) or "dimension" not in payload:
             raise GalleryFormatError(f"{path}: missing 'dimension' key")

@@ -1,15 +1,21 @@
 import argparse
+import contextlib
 import csv
+import io
 import json
 import os
 import re
 import subprocess
 import sys
+import tempfile
 import textwrap
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from adathresh import Gallery
 from adathresh.cli import EXIT_CONTRACT, EXIT_DEGENERATE, EXIT_OK, _build_parser, main
@@ -529,6 +535,88 @@ def test_a_byte_that_is_not_utf8_exits_2(synth_file, tmp_path, capsys, command, 
         assert err.startswith("error: cannot read config file: 'utf-8' codec can't decode")
     else:
         assert err.startswith(f"error: {bad}:2: not valid UTF-8")
+
+
+# bytes a mutation inserts or writes over the file: quotes, separators,
+# line ends, comments, brackets, deep nesting, and huge or odd numbers
+_MUTANT_BYTES = st.one_of(
+    st.binary(min_size=1, max_size=8),
+    st.sampled_from(
+        [b'"', b",", b"\n", b"\r\n", b"#", b"# change_counter=", b"{", b"[", b"]", b"\\"]
+        + [b"[" * 5000, b'{"a":' * 5000, b"1e400", b"-1e400", b"1e-400", b"9" * 5000]
+        + [b"1" + b"0" * 400, b"1_0", b"0x10", b"nan", b"-inf", b"4.9e-324"]
+    ),
+)
+_MUTATIONS = st.one_of(
+    st.tuples(st.just("cut"), st.integers(0, 2**20), st.integers(1, 64)),
+    st.tuples(st.just("insert"), st.integers(0, 2**20), _MUTANT_BYTES),
+    st.tuples(st.just("replace"), st.integers(0, 2**20), st.integers(1, 16), _MUTANT_BYTES),
+    st.tuples(st.just("duplicate line"), st.integers(0, 2**20), st.integers(1, 3)),
+    st.tuples(st.just("number"), st.integers(0, 2**20), _MUTANT_BYTES),
+)
+# labels the gallery is saved with before it is mutated: short text, labels
+# that need quoting, and labels longer than csv's default field limit
+_SAVED_LABELS = st.one_of(
+    st.text(min_size=1, max_size=6),
+    st.builds(
+        lambda unit, count: unit * count,
+        st.sampled_from(['x"', "x,", '"', "a\nb", "a\r\n", "# "]),
+        st.sampled_from([1, 3, 70_000]),
+    ),
+)
+
+
+def _mutated(data: bytes, mutations) -> bytes:
+    data = bytearray(data)
+    for op, position, *args in mutations:
+        i = position % (len(data) + 1)
+        if op == "cut":
+            del data[i : i + args[0]]
+        elif op == "insert":
+            data[i:i] = args[0]
+        elif op == "replace":
+            data[i : i + args[0]] = args[1]
+        elif op == "duplicate line":
+            lines = bytes(data).splitlines(keepends=True)
+            if lines:
+                k = position % len(lines)
+                lines[k:k] = lines[k : k + 1] * args[0]
+                data = bytearray(b"".join(lines))
+        else:  # a number of the file written over
+            numbers = list(re.finditer(rb"-?[0-9][0-9.e+-]*", bytes(data)))
+            if numbers:
+                found = numbers[position % len(numbers)]
+                data[found.start() : found.end()] = args[0]
+    return bytes(data)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    suffix=st.sampled_from([".csv", ".json"]),
+    labels=st.lists(_SAVED_LABELS, max_size=2),
+    mutations=st.lists(_MUTATIONS, max_size=4),
+)
+# arrays nested deeper than json's decoder recurses
+@example(suffix=".json", labels=[], mutations=[("insert", 0, b"[" * 5000)])
+def test_a_mutated_gallery_file_exits_cleanly(suffix, labels, mutations):
+    # any bytes adapt is given end in an exit code: 0 adapted, 2 refused the
+    # file or its contents, 3 too degenerate to adapt; never a traceback or a
+    # warning
+    g = Gallery(3)
+    rng = np.random.default_rng(1)
+    for k, label in enumerate(["a", "b", "c", *labels]):
+        g.register_rows([label] * 2, rng.standard_normal((2, 3)) + [k, 0, 0])
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / f"g{suffix}"
+        g.save(path)
+        path.write_bytes(_mutated(path.read_bytes(), mutations))
+        with warnings.catch_warnings(), contextlib.redirect_stdout(io.StringIO()):
+            warnings.simplefilter("error")
+            with contextlib.redirect_stderr(err):
+                code = main(["adapt", "--gallery", str(path)])
+    assert code in (EXIT_OK, EXIT_CONTRACT, EXIT_DEGENERATE)
+    assert "Traceback" not in err.getvalue()
 
 
 class TestSimulateStream:
