@@ -432,22 +432,22 @@ def test_build_memory_is_a_fraction_of_the_gram(make_gallery):
     assert peak < gram_bytes / 3
 
 
-@pytest.mark.parametrize("shuffle", [False, True], ids=["in-label-order", "shuffled"])
-def test_build_memory_is_the_samples_and_a_few_tiles(shuffle):
+def test_build_memory_is_the_samples_and_a_few_tiles():
     # a band of 256 rows against all 2,000 rows would take 3.9 MiB, and a
     # copy of the rows in label order 2 MiB: each band is gathered from the
-    # gallery's rows, in whatever order they were registered
-    g = sized_gallery([4] * 500, dim=128, seed=2, shuffle=shuffle)
-    build_distributions(g)  # warm-up: lazy imports and caches
-    tracemalloc.start()
-    try:
-        build_distributions(g)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    # gallery's rows, registered in label order or shuffled
     samples = (500 + 500 * 499 // 2) * 8
     tile = similarity._TILE * similarity._TILE * 8
-    assert peak <= samples + 4 * tile
+    for shuffle in (False, True):
+        g = sized_gallery([4] * 500, dim=128, seed=2, shuffle=shuffle)
+        build_distributions(g)  # warm-up: lazy imports and caches
+        tracemalloc.start()
+        try:
+            build_distributions(g)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= samples + 4 * tile, f"shuffled={shuffle}"
 
 
 def test_sweep_memory_is_a_few_sample_arrays():
