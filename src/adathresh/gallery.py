@@ -73,14 +73,6 @@ class MatchResult:
     best_similarity: float
 
 
-def _without_row(matrix: np.ndarray, k: int, n: int) -> np.ndarray:
-    """A new matrix of ``matrix``'s shape whose first ``n - 1`` rows are its
-    first ``n`` without row ``k``."""
-    out = np.empty_like(matrix)
-    np.concatenate((matrix[:k], matrix[k + 1 : n]), out=out[: n - 1])
-    return out
-
-
 class Gallery:
     """Mutable store of identity-labeled embeddings of one fixed dimension.
 
@@ -101,9 +93,8 @@ class Gallery:
     ``_screen`` is a float32 copy of ``_unit``'s rows, of the same capacity,
     that :meth:`match_query` screens with. The first match makes it (only a
     gallery that is queried holds one); after that it follows the same
-    discipline: a registration writes its rows into it too, a removal
-    shifts its rows as it shifts ``_unit``'s, and growth drops it, so the
-    next match makes a new one.
+    discipline: a registration writes its rows into it too, and growth and
+    removal drop it, so the next match makes a new one.
     """
 
     def __init__(self, dimension: int):
@@ -243,12 +234,10 @@ class Gallery:
             rows, n = self._rows, len(self._rows)
             k = next(k for k, e in enumerate(rows) if e.instance_id == instance_id)
             owner = rows[k].identity
-            # new matrices and a new list, in registration order: readers may
-            # hold the old ones
-            self._unit = _without_row(self._unit, k, n)
-            if self._screen is not None:
-                self._screen = _without_row(self._screen, k, n)
-            self._rows = rows[:k] + rows[k + 1 :]
+            # a new matrix and list, in registration order: readers may hold the old ones
+            unit = np.empty_like(self._unit)
+            np.concatenate((self._unit[:k], self._unit[k + 1 : n]), out=unit[: n - 1])
+            self._unit, self._rows, self._screen = unit, rows[:k] + rows[k + 1 :], None
             remaining = [e for e in self._identities[owner] if e.instance_id != instance_id]
             if remaining:
                 self._identities[owner] = remaining

@@ -248,16 +248,14 @@ def build_distributions(gallery: "Gallery") -> SimilarityDistributions:
     # a stable sort keeps each identity's rows in registration order
     ranked = sorted(range(len(labels)), key=labels.__getitem__)
     order = np.array(ranked, dtype=np.intp)
-    spans = _spans(sum(1 for _ in group) for _, group in groupby(map(labels.__getitem__, ranked)))
-    if len(spans) < 2:
+    sizes = [sum(1 for _ in group) for _, group in groupby(map(labels.__getitem__, ranked))]
+    if len(sizes) < 2:
         raise InputContractError("need at least 2 identities to form cross pairs")
     # an identity of more than _TILE rows is a band of its own: packed after
     # all the others, it cuts no run of smaller identities into short bands
-    if any(hi - lo > _TILE for lo, hi in spans):
-        spans.sort(key=lambda span: span[1] - span[0] > _TILE)
-        order = np.concatenate([order[lo:hi] for lo, hi in spans])
-        spans = _spans(hi - lo for lo, hi in spans)
-    auto, cross = _pairs_from_identities(unit, order, spans)
+    tall = np.repeat(np.array(sizes) > _TILE, sizes)
+    order = np.concatenate((order[~tall], order[tall]))
+    auto, cross = _pairs_from_identities(unit, order, _spans(sorted(sizes, key=_TILE.__lt__)))
     if not auto.size:
         logger.warning(
             "no identity has two or more embeddings: auto distribution is empty"

@@ -381,26 +381,21 @@ class TestRemove:
         assert g.change_counter == start + 6
 
     def test_match_after_remove_is_exact(self):
-        # after the first match, each removal shifts the float32 rows into a
-        # new screen, as it shifts the unit rows, and no match casts them again
+        # after the first match, each removal drops the float32 rows, and the
+        # next match casts the rows that are left
         rng = np.random.default_rng(68)
         block = rng.standard_normal((40, 8))
         g = Gallery(8)
         ids = g.register_rows([f"id{k % 7}" for k in range(40)], block)
         g.match_query(block[0], 0.5)
         for instance_id in rng.permutation(ids)[:25]:
-            held = g._screen
-            before = held.copy()
             assert g.remove(instance_id)
-            screen = g._screen
-            # a reader may still hold the old screen: it is left as it was
-            assert screen is not held and held.tobytes() == before.tobytes()
-            n = len(g)
-            assert np.array_equal(screen[:n], g._unit[:n].astype(np.float32))
+            assert g._screen is None
             query = rng.standard_normal(8)
             r = g.match_query(query, -1.0)
-            assert g._screen is screen  # a new screen would replace it
             assert (r.best_similarity, r.identity) == clipped_reference(g, query)
+            n = len(g)
+            assert np.array_equal(g._screen[:n], g._unit[:n].astype(np.float32))
 
 
 class TestMatchQuery:
@@ -574,8 +569,8 @@ class TestMatcherProperty:
     @settings(max_examples=60, deadline=None)
     @given(matcher_ops(64))
     def test_match_agrees_with_brute_force_at_dim_64(self, ops):
-        # growth past 16 rows drops the float32 screen, so the next query
-        # makes it anew, and every removal shifts its rows into a new one
+        # growth past 16 rows and every removal drop the float32 screen, so
+        # queries between them run on a screen made anew
         self.replay(64, ops)
 
     @staticmethod
