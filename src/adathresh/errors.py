@@ -2,6 +2,9 @@
 
 import math
 import numbers
+import operator
+
+import numpy as np
 
 
 class AdathreshError(Exception):
@@ -63,3 +66,15 @@ def real_number(value, name: str) -> float:
     if math.isnan(value):
         raise InputContractError(f"{name} must not be NaN")
     return value
+
+
+def whole_number(value, name: str) -> int:
+    """``value`` as a Python int: what ``operator.index`` takes (so no float), not a bool."""
+    if isinstance(value, (bool, np.bool_)):
+        raise InputContractError(f"{name} must be an integer, not a bool")
+    try:
+        return operator.index(value)
+    except TypeError as exc:
+        raise InputContractError(
+            f"{name} must be an integer, got {type(value).__name__}"
+        ) from exc

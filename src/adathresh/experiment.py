@@ -5,15 +5,13 @@ from __future__ import annotations
 import csv
 import json
 import math
-import numbers
-import operator
 import random
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
-from .errors import InputContractError, utf8_error
+from .errors import GalleryFormatError, InputContractError, real_number, utf8_error, whole_number
 from .gallery import FLOAT_FORMAT, Embedding, Gallery
 from .metrics import rates_at, roc_auc, roc_sweep
 from .optimizer import AdaptConfig, _adapt_built, optimize_f1
@@ -86,13 +84,7 @@ class SynthSpec:
 
     def __post_init__(self):
         for name in ("num_identities", "embeddings_per_identity", "dimension", "rng_seed"):
-            value = getattr(self, name)
-            if isinstance(value, (bool, np.bool_)):
-                raise InputContractError(f"{name} must be an integer, not a bool")
-            try:
-                object.__setattr__(self, name, operator.index(value))
-            except TypeError as exc:
-                raise InputContractError(f"{name} must be an integer") from exc
+            object.__setattr__(self, name, whole_number(getattr(self, name), name))
         if self.num_identities < 1 or self.embeddings_per_identity < 1:
             raise InputContractError("identity and embedding counts must be positive")
         if self.dimension < 2:
@@ -100,9 +92,8 @@ class SynthSpec:
         if self.rng_seed < 0:
             raise InputContractError("rng_seed must be >= 0")
         for name in ("within_spread", "between_spread"):
-            value = getattr(self, name)
-            if isinstance(value, (bool, np.bool_)) or not isinstance(value, numbers.Real):
-                raise InputContractError(f"{name} must be a number")
+            value = real_number(getattr(self, name), name)
+            object.__setattr__(self, name, value)
             if not 0.0 < value < math.inf:
                 raise InputContractError(f"{name} must be finite and > 0")
 
@@ -160,7 +151,7 @@ def run_incremental(
             "one of the first two identities must hold at least 2 embeddings"
         )
 
-    fixed = [float(value) for value in fixed_list]
+    fixed = [real_number(value, "fixed threshold") for value in fixed_list]
     kinds = ["adaptive", *(f"fixed@{value:g}" for value in fixed)]
     gallery = Gallery(source.dimension)
     state = None
@@ -307,20 +298,40 @@ def export(data, path) -> None:
 
 def read_rows(path) -> list[ExperimentRow]:
     """Parse rows written by :func:`export` (CSV or JSON). A file that is not
-    valid UTF-8 raises :class:`GalleryFormatError`."""
+    valid UTF-8, CSV or JSON, or a record that is not a row (a missing column,
+    a value its field cannot take), raises :class:`GalleryFormatError` naming
+    the path and the record: its line in a CSV file, its index in a JSON one."""
     path = Path(path)
     try:
         with open(path, newline="", encoding="utf-8") as fh:
             if path.suffix.lower() == ".json":
-                records = json.load(fh)
+                payload = json.load(fh)
             else:
-                records = list(csv.DictReader(fh))
+                reader = csv.DictReader(fh)
+                records = [(f"{path}:{reader.line_num}", rec) for rec in reader]
     except UnicodeDecodeError as exc:
         raise utf8_error(path) from exc
+    except csv.Error as exc:
+        # line_num counts the lines before the record csv refused
+        raise GalleryFormatError(f"{path}:{reader.line_num + 1}: {exc}") from exc
+    except (ValueError, RecursionError) as exc:
+        # a JSONDecodeError, an integer of more digits than int() takes, or
+        # arrays or objects nested deeper than the decoder recurses
+        raise GalleryFormatError(f"{path}: invalid JSON: {exc}") from exc
+    if path.suffix.lower() == ".json":
+        if not isinstance(payload, list):
+            raise GalleryFormatError(f"{path}: expected a list of rows, got {type(payload).__name__}")
+        records = [(f"{path}: row #{i}", rec) for i, rec in enumerate(payload)]
     columns = list(zip(ROW_COLUMNS, _ROW_CONVERTERS))
-    return [
-        ExperimentRow(*(convert(rec[col]) for col, convert in columns)) for rec in records
-    ]
+    rows = []
+    for where, rec in records:
+        try:
+            rows.append(ExperimentRow(*(convert(rec[col]) for col, convert in columns)))
+        except KeyError as exc:
+            raise GalleryFormatError(f"{where}: missing column {exc}") from exc
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise GalleryFormatError(f"{where}: {exc}") from exc
+    return rows
 
 
 def roc_export(dist, path, num_points: int = 1001, epsilon: float = 1e-9) -> None:

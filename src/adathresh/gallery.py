@@ -6,7 +6,6 @@ import csv
 import itertools
 import json
 import math
-import operator
 import threading
 from dataclasses import dataclass
 from pathlib import Path
@@ -21,6 +20,7 @@ from .errors import (
     InputContractError,
     real_number,
     utf8_error,
+    whole_number,
 )
 from .similarity import unit_rows, unit_vector
 
@@ -98,7 +98,7 @@ class Gallery:
     """
 
     def __init__(self, dimension: int):
-        dimension = operator.index(dimension)
+        dimension = whole_number(dimension, "gallery dimension")
         if dimension < 2:
             raise InputContractError("gallery dimension must be >= 2")
         self.dimension = dimension

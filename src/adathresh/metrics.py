@@ -6,7 +6,7 @@ from typing import Literal
 
 import numpy as np
 
-from .errors import InputContractError, real_number
+from .errors import InputContractError, real_number, whole_number
 from .similarity import SimilarityDistributions
 
 TprDenominator = Literal["standard", "paper"]
@@ -139,6 +139,7 @@ def roc_sweep(
     exact :func:`roc_auc`, not an area under the grid.
     """
     _require_samples(dist)
+    num_points = whole_number(num_points, "num_points")
     if num_points < 2:
         raise InputContractError("num_points must be >= 2")
     auto, cross = dist.auto_samples, dist.cross_samples

@@ -5,13 +5,12 @@ from __future__ import annotations
 
 import logging
 import math
-import operator
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Literal
 
 import numpy as np
 
-from .errors import DegenerateDataError, InputContractError, real_number
+from .errors import DegenerateDataError, InputContractError, real_number, whole_number
 from .metrics import metrics_at, rates_at
 from .similarity import SimilarityDistributions, build_distributions
 from .stats import _threshold_with_source, estimate_gaussian, intersect_gaussians
@@ -44,18 +43,13 @@ class AdaptConfig:
     def __post_init__(self):
         for name in ("tau", "epsilon"):
             object.__setattr__(self, name, real_number(getattr(self, name), name))
-        if isinstance(self.recompute_every_n, (bool, np.bool_)):
-            raise InputContractError("recompute_every_n must be an integer, not a bool")
         if not 0.0 < self.tau <= 1.0:
             raise InputContractError("tau must be in (0, 1]")
         if not 0.0 < self.epsilon < math.inf:
             raise InputContractError("epsilon must be finite and > 0")
-        try:
-            object.__setattr__(
-                self, "recompute_every_n", operator.index(self.recompute_every_n)
-            )
-        except TypeError as exc:
-            raise InputContractError("recompute_every_n must be an integer") from exc
+        object.__setattr__(
+            self, "recompute_every_n", whole_number(self.recompute_every_n, "recompute_every_n")
+        )
         if self.recompute_every_n < 1:
             raise InputContractError("recompute_every_n must be >= 1")
         if self.tpr_denominator not in ("standard", "paper"):

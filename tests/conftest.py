@@ -3,9 +3,11 @@ code paths they check)."""
 
 import bisect
 import math
+import re
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from adathresh import Gallery
 
@@ -175,3 +177,47 @@ def gallery_contents(gallery) -> tuple:
         gallery.change_counter,
         gallery.registrations_since_adapt,
     )
+
+
+# bytes a mutation inserts or writes over the file: quotes, separators,
+# line ends, comments, brackets, deep nesting, and huge or odd numbers
+MUTANT_BYTES = st.one_of(
+    st.binary(min_size=1, max_size=8),
+    st.sampled_from(
+        [b'"', b",", b"\n", b"\r\n", b"#", b"# change_counter=", b"{", b"[", b"]", b"\\"]
+        + [b"[" * 5000, b'{"a":' * 5000, b"1e400", b"-1e400", b"1e-400", b"9" * 5000]
+        + [b"1" + b"0" * 400, b"1_0", b"0x10", b"nan", b"-inf", b"4.9e-324"]
+    ),
+)
+MUTATIONS = st.one_of(
+    st.tuples(st.just("cut"), st.integers(0, 2**20), st.integers(1, 64)),
+    st.tuples(st.just("insert"), st.integers(0, 2**20), MUTANT_BYTES),
+    st.tuples(st.just("replace"), st.integers(0, 2**20), st.integers(1, 16), MUTANT_BYTES),
+    st.tuples(st.just("duplicate line"), st.integers(0, 2**20), st.integers(1, 3)),
+    st.tuples(st.just("number"), st.integers(0, 2**20), MUTANT_BYTES),
+)
+
+
+def mutated(data: bytes, mutations) -> bytes:
+    """``data`` with each of ``mutations`` (drawn from ``MUTATIONS``) applied in turn."""
+    data = bytearray(data)
+    for op, position, *args in mutations:
+        i = position % (len(data) + 1)
+        if op == "cut":
+            del data[i : i + args[0]]
+        elif op == "insert":
+            data[i:i] = args[0]
+        elif op == "replace":
+            data[i : i + args[0]] = args[1]
+        elif op == "duplicate line":
+            lines = bytes(data).splitlines(keepends=True)
+            if lines:
+                k = position % len(lines)
+                lines[k:k] = lines[k : k + 1] * args[0]
+                data = bytearray(b"".join(lines))
+        else:  # a number of the file written over
+            numbers = list(re.finditer(rb"-?[0-9][0-9.e+-]*", bytes(data)))
+            if numbers:
+                found = numbers[position % len(numbers)]
+                data[found.start() : found.end()] = args[0]
+    return bytes(data)

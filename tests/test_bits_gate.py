@@ -1,5 +1,30 @@
-"""The bits gate: every output of the paper's pipeline, at small fixed
-specs, digested bit for bit and compared with ``bits_golden.json``.
+"""The bits gate: every output of the paper's pipeline digested bit for bit
+and compared with ``bits_golden.json``.
+
+Five keys digest the benchmark's workloads on their own inputs, imported
+from ``perfbench/workloads.py`` (read, never written; their files go to a
+temporary directory):
+
+- ``readapt-hard``: the auto and cross sample bytes of its gallery and the
+  ``adapt`` state under the benchmark's config, ``tau`` 1.0 and the paper's
+  TPR denominator with ``epsilon`` 0.5;
+- ``grow-protocol``: the rows and summary files that ``simulate`` writes on
+  its inputs, seeds 1-3;
+- ``stream-online``: one pass's events, the threshold in force at each query
+  and the re-adaptations, seeds 1-3;
+- ``metrics-layer``: on the ``readapt-hard`` gallery, the stdout of
+  ``adathresh adapt``, the bytes of the ``adathresh roc --points 1001`` file,
+  and ``metrics_at``'s six rates, read by name, at 101 thresholds in
+  [-0.05, 1.05] under both TPR denominators;
+- ``persistence-workloads``: ``Gallery.load`` of the CSV each workload saves
+  (``readapt-hard``'s gallery, and ``grow-protocol``'s and
+  ``stream-online``'s at seeds 1-3): every row's label, instance id, raw and
+  unit-row bits in registration order, and the counters.
+
+The other keys cover, at small fixed specs, what the workloads do not
+reach: galleries wider than one band, one stream call that registers many
+novel labels, the confusion counts, the f1 sweep on tie-heavy sides, and a
+save/load round trip of a label that needs quoting.
 
 A change that moves any output in its last bit fails here. When the move is
 meant (a re-baseline), rewrite the golden file and name the outputs that
@@ -38,9 +63,13 @@ from adathresh import (
 from adathresh.cli import main as cli
 from conftest import gallery_contents
 
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+
+import workloads  # noqa: E402
+
 GOLDEN = Path(__file__).resolve().parent / "bits_golden.json"
 SPEC = SynthSpec(40, 4, 32, 0.18, 1.0, rng_seed=7)
-GROW_SPEC = SynthSpec(24, 4, 16, 0.18, 1.0, rng_seed=8)
+SEEDS = (1, 2, 3)
 
 
 def _text(value) -> str:
@@ -53,6 +82,8 @@ def _text(value) -> str:
         return type(value).__name__ + _text(dataclasses.astuple(value))
     if isinstance(value, (list, tuple)):
         return "(" + ",".join(map(_text, value)) + ")"
+    if isinstance(value, dict):
+        return "{" + ",".join(f"{_text(k)}:{_text(v)}" for k, v in value.items()) + "}"
     return repr(value)
 
 
@@ -63,9 +94,70 @@ def _sha(*parts) -> str:
     return h.hexdigest()
 
 
-def _quiet_cli(argv) -> int:
+def readapt_hard(out: Path) -> str:
+    ctx = workloads.ReadaptHard().setup(out, 0, workloads.Tracer())
+    dist = build_distributions(ctx.gallery)
+    configs = (
+        workloads.CONFIG,
+        AdaptConfig(tau=1.0),
+        AdaptConfig(tpr_denominator="paper", epsilon=0.5),
+    )
+    states = [adapt(ctx.gallery, None, config) for config in configs]
+    return _sha(dist.auto_samples.tobytes(), dist.cross_samples.tobytes(), *states)
+
+
+def grow_protocol(out: Path) -> str:
+    parts, grow = [], workloads.GrowProtocol()
+    for seed in SEEDS:
+        code, rows, summary = grow.round(grow.setup(out, seed, workloads.Tracer())).outputs[0]
+        parts.append(f"{seed}:{code}\n{rows}\n{summary}\n".encode())
+    return _sha(*parts)
+
+
+def stream_online(out: Path) -> str:
+    parts, stream = [], workloads.StreamOnline()
+    for seed in SEEDS:
+        p = stream.round(stream.setup(out, seed, workloads.Tracer())).outputs[0]
+        parts.append(f"{seed}:{_text((p.events, p.lambdas, p.readapts))}\n".encode())
+    return _sha(*parts)
+
+
+def metrics_layer(out: Path) -> str:
+    gallery, roc = out / "metrics-layer.csv", out / "metrics-layer-roc.csv"
+    generate_synthetic(workloads.READAPT_SPEC, gallery)
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        code = cli(["adapt", "--gallery", str(gallery)])
+    # roc's stdout names only the temporary output path
     with contextlib.redirect_stdout(io.StringIO()):
-        return cli(argv)
+        code += cli(["roc", "--embeddings", str(gallery), "--points", "1001", "--out", str(roc)])
+    parts = [f"{code}\n{stdout.getvalue()}".encode(), roc.read_bytes()]
+    dist = build_distributions(Gallery.load(gallery))
+    for denominator in ("standard", "paper"):
+        for lam in np.linspace(-0.05, 1.05, 101).tolist():
+            m = metrics_at(dist, lam, tpr_denominator=denominator)
+            rates = (m.precision, m.recall, m.f1, m.accuracy, m.tpr, m.fpr)
+            parts.append(f"{denominator}:{lam.hex()}:{_text(rates)}\n".encode())
+    return _sha(*parts)
+
+
+def persistence_workloads(out: Path) -> str:
+    sources = [("readapt-hard", generate_synthetic(workloads.READAPT_SPEC))]
+    for seed in SEEDS:
+        sources.append((f"grow-protocol-{seed}", generate_synthetic(workloads.grow_spec(seed))))
+        sources.append((f"stream-online-{seed}", workloads.stream_inputs(seed)[0]))
+    parts = []
+    for name, source in sources:
+        path = out / f"{name}.csv"
+        source.save(path)
+        g = Gallery.load(path)
+        _, unit, labels = g.unit_rows()
+        of = {label: iter(g.embeddings_of(label)) for label in g.identities}
+        parts.append(f"{name}:{g.change_counter}:{g.registrations_since_adapt}\n".encode())
+        for e in (next(of[label]) for label in labels):
+            parts.append(f"{e.identity!r}:{e.instance_id!r}:".encode() + e.vector.tobytes())
+        parts.append(unit.tobytes())
+    return _sha(*parts)
 
 
 def mixed_gallery() -> Gallery:
@@ -116,14 +208,6 @@ def digests(tmp: Path) -> dict[str, str]:
     dist = build_distributions(g)
     mixed = build_distributions(mixed_gallery())
     tall = build_distributions(tall_gallery())
-    states = [adapt(g, None, AdaptConfig()), adapt(g, None, AdaptConfig(tau=1.0, tpr_denominator="paper"))]
-
-    grow = tmp / "grow.csv"
-    generate_synthetic(GROW_SPEC, grow)
-    code = _quiet_cli(
-        ["simulate", "--embeddings", str(grow), "--out", str(tmp / "rows.csv"),
-         "--summary", str(tmp / "summary.json")]
-    )  # fmt: skip
 
     # the stream: three of each identity's rows enrolled for the first 30
     # identities, and every identity's last row queried, auto-registering
@@ -133,10 +217,9 @@ def digests(tmp: Path) -> dict[str, str]:
         if k < 30:
             enrolled.register_rows([label] * len(first), [e.vector for e in first])
         queries.append(last)
-    events = simulate_stream(enrolled, queries, states[0].lambda_current, auto_register=True)
+    threshold = adapt(g, None, AdaptConfig()).lambda_current
+    events = simulate_stream(enrolled, queries, threshold, auto_register=True)
 
-    roc = tmp / "roc.csv"
-    code += _quiet_cli(["roc", "--embeddings", str(grow), "--points", "101", "--out", str(roc)])
     rates = [
         metrics_at(dist, lam, tpr_denominator=denominator)
         for denominator in ("standard", "paper")
@@ -157,13 +240,14 @@ def digests(tmp: Path) -> dict[str, str]:
     kept.save(tmp / "g.csv")
     back = Gallery.load(tmp / "g.csv")
     return {
-        "samples": _sha(dist.auto_samples.tobytes(), dist.cross_samples.tobytes()),
+        "readapt-hard": readapt_hard(tmp),
+        "grow-protocol": grow_protocol(tmp),
+        "stream-online": stream_online(tmp),
+        "metrics-layer": metrics_layer(tmp),
+        "persistence-workloads": persistence_workloads(tmp),
         "samples-mixed": _sha(mixed.auto_samples.tobytes(), mixed.cross_samples.tobytes()),
         "samples-tall": _sha(tall.auto_samples.tobytes(), tall.cross_samples.tobytes()),
-        "adapt": _sha(states),
-        "simulate": _sha(code, (tmp / "rows.csv").read_bytes(), (tmp / "summary.json").read_bytes()),
         "stream": _sha(events, gallery_contents(enrolled)),
-        "roc": _sha(roc.read_bytes()),
         "metrics_at": _sha(rates),
         "optimize_f1": _sha(sweeps()),
         "persistence": _sha(gallery_contents(back)),

@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 
 from adathresh import Gallery
 from adathresh.cli import EXIT_CONTRACT, EXIT_DEGENERATE, EXIT_OK, _build_parser, main
+from conftest import MUTATIONS, mutated
 
 
 @pytest.fixture
@@ -66,7 +67,7 @@ class TestSynth:
         "flag, value, message",
         [
             ("--seed", "-1", "rng_seed must be >= 0"),
-            ("--within", "nan", "within_spread must be finite and > 0"),
+            ("--within", "nan", "within_spread must not be NaN"),
             ("--between", "inf", "between_spread must be finite and > 0"),
             ("--within", "0", "within_spread must be finite and > 0"),
         ],
@@ -537,23 +538,6 @@ def test_a_byte_that_is_not_utf8_exits_2(synth_file, tmp_path, capsys, command, 
         assert err.startswith(f"error: {bad}:2: not valid UTF-8")
 
 
-# bytes a mutation inserts or writes over the file: quotes, separators,
-# line ends, comments, brackets, deep nesting, and huge or odd numbers
-_MUTANT_BYTES = st.one_of(
-    st.binary(min_size=1, max_size=8),
-    st.sampled_from(
-        [b'"', b",", b"\n", b"\r\n", b"#", b"# change_counter=", b"{", b"[", b"]", b"\\"]
-        + [b"[" * 5000, b'{"a":' * 5000, b"1e400", b"-1e400", b"1e-400", b"9" * 5000]
-        + [b"1" + b"0" * 400, b"1_0", b"0x10", b"nan", b"-inf", b"4.9e-324"]
-    ),
-)
-_MUTATIONS = st.one_of(
-    st.tuples(st.just("cut"), st.integers(0, 2**20), st.integers(1, 64)),
-    st.tuples(st.just("insert"), st.integers(0, 2**20), _MUTANT_BYTES),
-    st.tuples(st.just("replace"), st.integers(0, 2**20), st.integers(1, 16), _MUTANT_BYTES),
-    st.tuples(st.just("duplicate line"), st.integers(0, 2**20), st.integers(1, 3)),
-    st.tuples(st.just("number"), st.integers(0, 2**20), _MUTANT_BYTES),
-)
 # labels the gallery is saved with before it is mutated: short text, labels
 # that need quoting, and labels longer than csv's default field limit
 _SAVED_LABELS = st.one_of(
@@ -566,55 +550,52 @@ _SAVED_LABELS = st.one_of(
 )
 
 
-def _mutated(data: bytes, mutations) -> bytes:
-    data = bytearray(data)
-    for op, position, *args in mutations:
-        i = position % (len(data) + 1)
-        if op == "cut":
-            del data[i : i + args[0]]
-        elif op == "insert":
-            data[i:i] = args[0]
-        elif op == "replace":
-            data[i : i + args[0]] = args[1]
-        elif op == "duplicate line":
-            lines = bytes(data).splitlines(keepends=True)
-            if lines:
-                k = position % len(lines)
-                lines[k:k] = lines[k : k + 1] * args[0]
-                data = bytearray(b"".join(lines))
-        else:  # a number of the file written over
-            numbers = list(re.finditer(rb"-?[0-9][0-9.e+-]*", bytes(data)))
-            if numbers:
-                found = numbers[position % len(numbers)]
-                data[found.start() : found.end()] = args[0]
-    return bytes(data)
+# each command that reads a gallery file, with the mutated file in place of
+# one of them; the other files are the gallery as saved, or outputs
+_READS_A_GALLERY = {
+    "adapt": ["adapt", "--gallery", "{mutated}"],
+    "simulate": ["simulate", "--embeddings", "{mutated}", "--out", "{tmp}/rows.csv",
+                 "--summary", "{tmp}/summary.json"],
+    "roc": ["roc", "--embeddings", "{mutated}", "--out", "{tmp}/roc.csv"],
+    "simulate-stream --gallery": ["simulate-stream", "--gallery", "{mutated}", "--queries",
+                                  "{kept}", "--threshold", "0.5", "--auto-register"],
+    "simulate-stream --queries": ["simulate-stream", "--gallery", "{kept}", "--queries",
+                                  "{mutated}", "--threshold", "0.5", "--auto-register"],
+}  # fmt: skip
 
 
 @settings(max_examples=150, deadline=None)
 @given(
     suffix=st.sampled_from([".csv", ".json"]),
     labels=st.lists(_SAVED_LABELS, max_size=2),
-    mutations=st.lists(_MUTATIONS, max_size=4),
+    mutations=st.lists(MUTATIONS, max_size=4),
+    command=st.sampled_from(list(_READS_A_GALLERY)),
 )
 # arrays nested deeper than json's decoder recurses
-@example(suffix=".json", labels=[], mutations=[("insert", 0, b"[" * 5000)])
-def test_a_mutated_gallery_file_exits_cleanly(suffix, labels, mutations):
-    # any bytes adapt is given end in an exit code: 0 adapted, 2 refused the
-    # file or its contents, 3 too degenerate to adapt; never a traceback or a
-    # warning
+@example(suffix=".json", labels=[], mutations=[("insert", 0, b"[" * 5000)], command="adapt")
+def test_a_mutated_gallery_file_exits_cleanly(suffix, labels, mutations, command):
+    # any bytes a command reads as a gallery end in an exit code: 0 done, 2
+    # refused the file or its contents, 3 too degenerate to adapt; never a
+    # traceback or a warning
+    # each identity's rows around its own direction on a circle, so that
+    # every command, adapt included, exits 0 on the file as saved
     g = Gallery(3)
     rng = np.random.default_rng(1)
-    for k, label in enumerate(["a", "b", "c", *labels]):
-        g.register_rows([label] * 2, rng.standard_normal((2, 3)) + [k, 0, 0])
+    names = ["a", "b", "c", *labels]
+    for k, label in enumerate(names):
+        angle = 2 * np.pi * k / len(names)
+        g.register_rows([label] * 2, 0.3 * rng.standard_normal((2, 3)) + [np.cos(angle), np.sin(angle), 0])
     err = io.StringIO()
     with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / f"g{suffix}"
+        path, kept = Path(tmp) / f"g{suffix}", Path(tmp) / f"kept{suffix}"
         g.save(path)
-        path.write_bytes(_mutated(path.read_bytes(), mutations))
+        g.save(kept)
+        path.write_bytes(mutated(path.read_bytes(), mutations))
+        argv = [str(a).format(mutated=path, kept=kept, tmp=tmp) for a in _READS_A_GALLERY[command]]
         with warnings.catch_warnings(), contextlib.redirect_stdout(io.StringIO()):
             warnings.simplefilter("error")
             with contextlib.redirect_stderr(err):
-                code = main(["adapt", "--gallery", str(path)])
+                code = main(argv)
     assert code in (EXIT_OK, EXIT_CONTRACT, EXIT_DEGENERATE)
     assert "Traceback" not in err.getvalue()
 

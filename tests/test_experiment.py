@@ -2,6 +2,9 @@ import csv
 import dataclasses
 import json
 import random
+import tempfile
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -30,7 +33,7 @@ from adathresh import (
     simulate_stream,
     summarize,
 )
-from conftest import gallery_contents, reference_synthetic
+from conftest import MUTATIONS, gallery_contents, mutated, reference_synthetic
 
 
 def small_spec(**overrides):
@@ -232,13 +235,13 @@ class TestGenerateSynthetic:
             ("rng_seed", True, "rng_seed must be an integer, not a bool"),
             ("rng_seed", 1.5, "rng_seed must be an integer"),
             ("rng_seed", None, "rng_seed must be an integer"),
-            ("within_spread", float("nan"), "within_spread must be finite and > 0"),
+            ("within_spread", float("nan"), "within_spread must not be NaN"),
             ("within_spread", float("inf"), "within_spread must be finite and > 0"),
             ("within_spread", -0.1, "within_spread must be finite and > 0"),
-            ("within_spread", True, "within_spread must be a number"),
-            ("within_spread", "0.2", "within_spread must be a number"),
+            ("within_spread", True, "within_spread must be a real number, got bool"),
+            ("within_spread", "0.2", "within_spread must be a real number, got str"),
             ("between_spread", float("inf"), "between_spread must be finite and > 0"),
-            ("between_spread", float("nan"), "between_spread must be finite and > 0"),
+            ("between_spread", float("nan"), "between_spread must not be NaN"),
         ],
     )
     def test_spec_rejects(self, field, value, message):
@@ -356,6 +359,28 @@ class TestExport:
         line = data.count(b"\n", 0, at) + 1
         with pytest.raises(GalleryFormatError, match=rf"{name}:{line}: not valid UTF-8"):
             read_rows(path)
+
+    @pytest.mark.parametrize(
+        "name, text, entry",
+        [
+            ("rows.csv", "lambda,f1\n0.5,0.9\n", "rows.csv:2: missing column 'step'"),
+            (
+                "rows.csv",
+                ",".join(adathresh.experiment.ROW_COLUMNS) + "\nx,adaptive" + ",0.5" * 7 + ",\n",
+                "rows.csv:2: invalid literal for int()",
+            ),
+            ("rows.json", "[1, 2]", "rows.json: row #0: "),
+            ("rows.json", '[{"step": ', "rows.json: invalid JSON: "),
+            ("rows.json", '{"step": 1}', "rows.json: expected a list of rows, got dict"),
+        ],
+        ids=["missing column", "step x", "not records", "invalid JSON", "not a list"],
+    )
+    def test_a_malformed_rows_file_is_a_format_error(self, tmp_path, name, text, entry):
+        path = tmp_path / name
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(GalleryFormatError) as info:
+            read_rows(path)
+        assert str(info.value).startswith(f"{tmp_path / entry}")
 
     def test_csv_header_order(self, tmp_path):
         path = tmp_path / "rows.csv"
@@ -549,3 +574,25 @@ class TestSimulateStream:
             rows = list(csv.DictReader(fh))
         assert rows[0]["action"] == "matched"
         assert rows[0]["identity"] == "a"
+
+
+@settings(max_examples=150, deadline=None)
+@given(suffix=st.sampled_from([".csv", ".json"]), mutations=st.lists(MUTATIONS, max_size=4))
+def test_a_mutated_rows_file_reads_as_rows_or_a_format_error(suffix, mutations):
+    # what read_rows makes of any bytes: rows, or a format error naming the
+    # file; never another exception or a warning
+    rows = run_incremental(generate_synthetic(small_spec(num_identities=3)), AdaptConfig(), [0.5])
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / f"rows{suffix}"
+        export(rows, path)
+        path.write_bytes(mutated(path.read_bytes(), mutations))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                back = read_rows(path)
+            except GalleryFormatError as exc:
+                assert str(exc).startswith(str(path))
+                return
+    assert all(isinstance(row, ExperimentRow) for row in back)
+    if not mutations:
+        assert back == rows

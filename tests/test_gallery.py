@@ -143,7 +143,7 @@ class TestRegister:
             Gallery(1)
 
     def test_dimension_must_be_an_integer(self):
-        with pytest.raises(TypeError):
+        with pytest.raises(InputContractError, match="gallery dimension must be an integer"):
             Gallery(2.9)
         assert Gallery(np.int64(3)).dimension == 3
 
