@@ -302,9 +302,10 @@ def read_rows(path) -> list[ExperimentRow]:
     a value its field cannot take), raises :class:`GalleryFormatError` naming
     the path and the record: its line in a CSV file, its index in a JSON one."""
     path = Path(path)
+    as_json = path.suffix.lower() == ".json"
     try:
         with open(path, newline="", encoding="utf-8") as fh:
-            if path.suffix.lower() == ".json":
+            if as_json:
                 payload = json.load(fh)
             else:
                 reader = csv.DictReader(fh)
@@ -318,7 +319,7 @@ def read_rows(path) -> list[ExperimentRow]:
         # a JSONDecodeError, an integer of more digits than int() takes, or
         # arrays or objects nested deeper than the decoder recurses
         raise GalleryFormatError(f"{path}: invalid JSON: {exc}") from exc
-    if path.suffix.lower() == ".json":
+    if as_json:
         if not isinstance(payload, list):
             raise GalleryFormatError(f"{path}: expected a list of rows, got {type(payload).__name__}")
         records = [(f"{path}: row #{i}", rec) for i, rec in enumerate(payload)]

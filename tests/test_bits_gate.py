@@ -2,8 +2,8 @@
 and compared with ``bits_golden.json``.
 
 Five keys digest the benchmark's workloads on their own inputs, imported
-from ``perfbench/workloads.py`` (read, never written; their files go to a
-temporary directory):
+from ``perfbench/workloads.py``; the files they write go to a temporary
+directory, never into ``perfbench/``:
 
 - ``readapt-hard``: the auto and cross sample bytes of its gallery and the
   ``adapt`` state under the benchmark's config, ``tau`` 1.0 and the paper's

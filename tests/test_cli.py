@@ -591,7 +591,7 @@ def test_a_mutated_gallery_file_exits_cleanly(suffix, labels, mutations, command
         g.save(path)
         g.save(kept)
         path.write_bytes(mutated(path.read_bytes(), mutations))
-        argv = [str(a).format(mutated=path, kept=kept, tmp=tmp) for a in _READS_A_GALLERY[command]]
+        argv = [a.format(mutated=path, kept=kept, tmp=tmp) for a in _READS_A_GALLERY[command]]
         with warnings.catch_warnings(), contextlib.redirect_stdout(io.StringIO()):
             warnings.simplefilter("error")
             with contextlib.redirect_stderr(err):
