@@ -267,6 +267,14 @@ def _optional_float(value) -> float | None:
 # how read_rows turns each ROW_COLUMNS entry back into its ExperimentRow field
 _ROW_CONVERTERS = (int, str, *[float] * 7, _optional_float)
 
+# the JSON types export writes for each ROW_COLUMNS entry (a bool is none of them)
+_JSON_TYPES = (
+    ({int}, "an integer"),
+    ({str}, "a string"),
+    *[({int, float}, "a number")] * 7,
+    ({int, float, type(None)}, "a number or null"),
+)
+
 
 def export(data, path) -> None:
     """Write experiment rows or a summary report to CSV or JSON.
@@ -299,8 +307,9 @@ def export(data, path) -> None:
 def read_rows(path) -> list[ExperimentRow]:
     """Parse rows written by :func:`export` (CSV or JSON). A file that is not
     valid UTF-8, CSV or JSON, or a record that is not a row (a missing column,
-    a value its field cannot take), raises :class:`GalleryFormatError` naming
-    the path and the record: its line in a CSV file, its index in a JSON one."""
+    a value its field cannot take, a JSON value of another type than export
+    writes for its column), raises :class:`GalleryFormatError` naming the path
+    and the record: its line in a CSV file, its index in a JSON one."""
     path = Path(path)
     as_json = path.suffix.lower() == ".json"
     try:
@@ -323,11 +332,15 @@ def read_rows(path) -> list[ExperimentRow]:
         if not isinstance(payload, list):
             raise GalleryFormatError(f"{path}: expected a list of rows, got {type(payload).__name__}")
         records = [(f"{path}: row #{i}", rec) for i, rec in enumerate(payload)]
-    columns = list(zip(ROW_COLUMNS, _ROW_CONVERTERS))
     rows = []
     for where, rec in records:
         try:
-            rows.append(ExperimentRow(*(convert(rec[col]) for col, convert in columns)))
+            values = [rec[col] for col in ROW_COLUMNS]
+            if as_json:
+                for col, value, (types, kind) in zip(ROW_COLUMNS, values, _JSON_TYPES):
+                    if type(value) not in types:
+                        raise TypeError(f"{col} must be {kind}, got {type(value).__name__}")
+            rows.append(ExperimentRow(*(convert(v) for v, convert in zip(values, _ROW_CONVERTERS))))
         except KeyError as exc:
             raise GalleryFormatError(f"{where}: missing column {exc}") from exc
         except (TypeError, ValueError, OverflowError) as exc:

@@ -146,15 +146,15 @@ def _pairs_from_identities(
     """Best similarity within each identity holding two or more rows (auto)
     and between each unordered pair of identities (cross).
 
-    ``order`` lists the rows of ``unit`` grouped by identity, and ``spans``
-    gives each identity's ``(lo, hi)`` range of positions in ``order``. The
-    rows are cut into bands of whole identities, at most ``_TILE`` rows each
-    unless one identity alone holds more, and each band is paired with
-    itself and with every later band. Both bands of a pair are gathered from
-    ``unit`` into two distinct zero-padded buffers whose row counts are
-    multiples of ``_TILE``, and one gemm of the two gives the pair's tile.
-    Working memory is one tile and the two buffers, however many rows the
-    gallery holds.
+    ``order`` lists the rows of ``unit`` grouped by identity, largest
+    identity first, and ``spans`` gives each identity's ``(lo, hi)`` range of
+    positions in ``order``. The rows are cut into bands of whole identities,
+    at most ``_TILE`` rows each unless one identity alone holds more, and
+    each band is paired with itself and with every later band. Both bands
+    of a pair are gathered from ``unit`` into two distinct zero-padded
+    buffers whose row counts are multiples of ``_TILE``, and one gemm of the
+    two gives the pair's tile. Working memory is one tile and the two
+    buffers, however many rows the gallery holds.
 
     Every product has a padded shape, whatever its rows and wherever they
     sit, so a sample's bits depend only on the rows of its own identities:
@@ -164,21 +164,16 @@ def _pairs_from_identities(
     small product off BLAS's small-matrix kernels; either would give the
     same pair other bits in another tile.
 
-    In each tile, an identity's cross samples against the tile's later
-    one-row identities come from one column maximum of its rows, read at
-    their columns; its later identities of two or more rows are paired one
-    at a time. A maximum is exact, so each sample has the bits of the block
-    maximum it stands for. The samples come in tile order, not pair order.
+    So the identities of two or more rows are ``[0, multi)`` and the
+    one-row ones follow. In each tile, an identity's later identities of two
+    or more rows are paired one at a time; its later one-row identities, a
+    run of one column each at the end of the tile, get their cross samples
+    from one column maximum of its rows. A maximum is exact, so each sample
+    has the bits of the block maximum it stands for. The samples come in
+    tile order, not pair order.
     """
     n = len(spans)
-    # the row of each one-row identity, and the spans of the larger ones
-    single_rows = np.array([lo for lo, hi in spans if hi - lo == 1], dtype=np.intp)
-    multi = [(lo, hi) for lo, hi in spans if hi - lo >= 2]
-    # singles[k]: how many one-row identities come before identity k, so
-    # k - singles[k] larger ones do
-    singles = [0]
-    for lo, hi in spans:
-        singles.append(singles[-1] + (hi - lo == 1))
+    multi = sum(hi - lo >= 2 for lo, hi in spans)
     bands = []  # each band's identities, as a range [i, j)
     i = 0
     while i < n:
@@ -190,8 +185,7 @@ def _pairs_from_identities(
     width = max(spans[j - 1][1] - spans[i][0] for i, j in bands)
     row_buf = np.empty((-(-width // _TILE) * _TILE, unit.shape[1]))
     col_buf = np.empty_like(row_buf)
-    peak = np.empty(len(unit))  # column maxima, each at its row's position
-    auto = np.empty(len(multi))
+    auto = np.empty(multi)
     cross = np.empty(n * (n - 1) // 2)
     c = 0
     for p, (i, j) in enumerate(bands):
@@ -203,28 +197,27 @@ def _pairs_from_identities(
             # only the rows' own products are read: the padding stays unclipped
             real = tile[: spans[j - 1][1] - r_lo, : c_hi - c_lo]
             np.clip(real, -1.0, 1.0, out=real)
-            s_end = singles[j_col]
             for k in range(i, j):
                 lo, hi = spans[k][0] - r_lo, spans[k][1] - r_lo
                 rows = tile[lo:hi]
-                if i_col == i and hi - lo >= 2:
+                if i_col == i and k < multi:
                     # pairing an instance with itself always scores 1.0; only
                     # distinct-instance pairs carry information, so the self
                     # pairs are masked in place (no other pair reads them)
                     self_pairs = np.arange(lo, hi)
                     tile[self_pairs, self_pairs] = -np.inf
-                    auto[k - singles[k]] = rows[:, lo:hi].max()
-                # the identities of this tile's columns after k
+                    auto[k] = rows[:, lo:hi].max()
+                # this tile's identities after k: [after, split) of two or
+                # more rows, then [split, j_col) of one row each
                 after = max(k + 1, i_col)
-                s = singles[after]
-                if s < s_end:
-                    first = single_rows[s]
-                    np.max(rows[:, first - c_lo : c_hi - c_lo], axis=0, out=peak[first:c_hi])
-                    cross[c : c + s_end - s] = peak[single_rows[s:s_end]]
-                    c += s_end - s
-                for lo_j, hi_j in multi[after - s : j_col - s_end]:
-                    cross[c] = rows[:, lo_j - c_lo : hi_j - c_lo].max()
+                split = max(after, min(multi, j_col))
+                for lo_m, hi_m in spans[after:split]:
+                    cross[c] = rows[:, lo_m - c_lo : hi_m - c_lo].max()
                     c += 1
+                if split < j_col:
+                    first = spans[split][0] - c_lo
+                    np.max(rows[:, first : c_hi - c_lo], axis=0, out=cross[c : c + j_col - split])
+                    c += j_col - split
             # free this tile before the next one is computed
             del tile, real, rows
     return auto, cross
@@ -247,15 +240,15 @@ def build_distributions(gallery: "Gallery") -> SimilarityDistributions:
     version, unit, labels = gallery.unit_rows()
     # a stable sort keeps each identity's rows in registration order
     ranked = sorted(range(len(labels)), key=labels.__getitem__)
-    order = np.array(ranked, dtype=np.intp)
     sizes = [sum(1 for _ in group) for _, group in groupby(map(labels.__getitem__, ranked))]
     if len(sizes) < 2:
         raise InputContractError("need at least 2 identities to form cross pairs")
-    # an identity of more than _TILE rows is a band of its own: packed after
-    # all the others, it cuts no run of smaller identities into short bands
-    tall = np.repeat(np.array(sizes) > _TILE, sizes)
-    order = np.concatenate((order[~tall], order[tall]))
-    auto, cross = _pairs_from_identities(unit, order, _spans(sorted(sizes, key=_TILE.__lt__)))
+    # identities largest first, in label order among equal sizes: an identity
+    # of more than _TILE rows, a band of its own, cuts no run of smaller
+    # identities into short bands, and the one-row identities come last
+    by_size = np.argsort(-np.repeat(sizes, sizes), kind="stable")
+    order = np.array(ranked, dtype=np.intp)[by_size]
+    auto, cross = _pairs_from_identities(unit, order, _spans(sorted(sizes, reverse=True)))
     if not auto.size:
         logger.warning(
             "no identity has two or more embeddings: auto distribution is empty"

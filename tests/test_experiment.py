@@ -332,6 +332,20 @@ class TestSummarize:
             summarize([])
 
 
+# one JSON row as export writes it, and values of a type export never writes
+# for their column
+ROW = dict(zip(adathresh.experiment.ROW_COLUMNS, [3, "adaptive", *[0.5] * 7, None]))
+WRONG_JSON_TYPES = [
+    ("step", 3.7),
+    ("step", True),
+    ("threshold_kind", None),
+    ("threshold_kind", 7),
+    ("lambda", True),
+    ("auc", "0.5"),
+    ("auc", ""),
+]
+
+
 class TestExport:
     def make_rows(self):
         g = generate_synthetic(small_spec())
@@ -372,8 +386,19 @@ class TestExport:
             ("rows.json", "[1, 2]", "rows.json: row #0: "),
             ("rows.json", '[{"step": ', "rows.json: invalid JSON: "),
             ("rows.json", '{"step": 1}', "rows.json: expected a list of rows, got dict"),
+            *[
+                ("rows.json", json.dumps([{**ROW, col: value}]), f"rows.json: row #0: {col} must be ")
+                for col, value in WRONG_JSON_TYPES
+            ],
         ],
-        ids=["missing column", "step x", "not records", "invalid JSON", "not a list"],
+        ids=[
+            "missing column",
+            "step x",
+            "not records",
+            "invalid JSON",
+            "not a list",
+            *[f"{col} {json.dumps(value)}" for col, value in WRONG_JSON_TYPES],
+        ],
     )
     def test_a_malformed_rows_file_is_a_format_error(self, tmp_path, name, text, entry):
         path = tmp_path / name

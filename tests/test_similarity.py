@@ -1,11 +1,12 @@
 import math
 import tracemalloc
 import warnings
+from collections import Counter
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from adathresh import (
@@ -242,9 +243,12 @@ def test_the_kernel_gathers_from_the_gallerys_own_rows(sizes, shuffle, seed):
     dist, read, order = build_reading(g)
     # no copy of the rows, in label order or not: each band is gathered
     assert np.shares_memory(read, rows)
-    # a stable sort keeps each identity's rows in registration order
+    # a stable sort keeps each identity's rows in registration order, and a
+    # stable sort by size packs the identities largest first
     ranked = sorted(range(len(labels)), key=labels.__getitem__)
-    assert order.dtype == np.intp and order.tolist() == ranked
+    size = Counter(labels)
+    packed = sorted(ranked, key=lambda r: -size[labels[r]])
+    assert order.dtype == np.intp and order.tolist() == packed
     auto, cross = per_pair_reference(rows[ranked], spans_of(sizes))
     assert dist.auto_samples.tobytes() == sorted_values(auto).tobytes()
     assert dist.cross_samples.tobytes() == sorted_values(cross).tobytes()
@@ -301,9 +305,14 @@ def sorted_values(samples: dict) -> np.ndarray:
     band_rows=st.integers(2, 16),
     seed=st.integers(0, 2**32 - 1),
 )
+# every one-row identity sorts before every larger one in label order
+@example(sizes=[1] * 7 + [2, 5, 3, 4, 2], band_rows=4, seed=1)
+# an identity larger than a band sits between one-row identities
+@example(sizes=[1, 1, 1, 7, 1, 1, 2, 1], band_rows=4, seed=2)
 def test_one_row_identities_keep_the_per_pair_bits(sizes, band_rows, seed):
-    # one-row identities sort before, between and after larger ones, and
-    # bands start and end on either kind
+    # in label order, one-row identities sort before, between and after
+    # larger ones; packed largest first, they fill the last bands, and the
+    # band where the larger ones end can hold both kinds
     g = sized_gallery(sizes, seed=seed, shuffle=True)
     _, rows, labels = g.unit_rows()
     order = sorted(range(len(labels)), key=labels.__getitem__)
@@ -348,7 +357,7 @@ def test_no_sample_moves_with_row_order_or_band_packing(n, dim, drop, seed):
     assert kept.cross_samples.tobytes() == sorted_values(kept_cross).tobytes()
 
 
-def test_identities_above_a_band_are_packed_after_the_rest():
+def test_identities_above_a_band_are_packed_first():
     # four identities of 300 rows, each between groups of 1-5-row ones: in
     # label order they would cut the small ones into five short bands
     rng = np.random.default_rng(4)
@@ -365,12 +374,13 @@ def test_identities_above_a_band_are_packed_after_the_rest():
 
     with mock.patch.object(similarity, "_zero_padded", spy):
         dist = build_distributions(g)
-    # the small identities fill one band and each large one is a band of its
-    # own: five row bands and 15 tiles, so 20 bands copied, against nine row
-    # bands, 45 tiles and 54 copies in label order
+    # each large one is a band of its own and the small identities fill one
+    # band after them: five row bands and 15 tiles, so 20 bands copied (the
+    # small band once as rows and against all five), against nine row bands,
+    # 45 tiles and 54 copies in label order
     small = sum(k for k in sizes if k < 300)
     assert small <= similarity._TILE
-    assert sorted(calls) == [small] * 2 + [300] * 18
+    assert sorted(calls) == [small] * 6 + [300] * 14
     _, rows, labels = g.unit_rows()
     ranked = sorted(range(len(labels)), key=labels.__getitem__)
     auto, cross = per_pair_reference(rows[ranked], spans_of(sizes))
