@@ -25,7 +25,6 @@ from .experiment import (
     export,
     export_stream_events,
     generate_synthetic,
-    read_rows,
     roc_export,
     run_incremental,
     simulate_stream,
@@ -94,7 +93,6 @@ __all__ = [
     "maybe_adapt",
     "metrics_at",
     "optimize_f1",
-    "read_rows",
     "roc_auc",
     "roc_export",
     "roc_sweep",

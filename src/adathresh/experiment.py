@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import GalleryFormatError, InputContractError, real_number, utf8_error, whole_number
+from .errors import InputContractError, real_number, whole_number
 from .gallery import FLOAT_FORMAT, Embedding, Gallery
 from .metrics import rates_at, roc_auc, roc_sweep
 from .optimizer import AdaptConfig, _adapt_built, optimize_f1
@@ -215,7 +215,9 @@ def generate_synthetic(spec: SynthSpec, path=None) -> Gallery:
 
 def summarize(rows: list[ExperimentRow], f1_target: float = 0.8) -> SummaryReport:
     """Aggregate rows per threshold kind: mean accuracy (%), final-step AUC,
-    and the share of steps reaching the f1 target (%)."""
+    and the share of steps reaching the f1 target (%); ``f1_target`` is
+    checked by :func:`real_number`."""
+    f1_target = real_number(f1_target, "f1_target")
     if not rows:
         raise InputContractError("no rows to summarize")
     by_kind: dict[str, list[ExperimentRow]] = {}  # in first-seen order
@@ -260,22 +262,6 @@ def _values(record) -> list:
     return [getattr(record, f.name) for f in fields(record)]
 
 
-def _optional_float(value) -> float | None:
-    return None if value in ("", None) else float(value)
-
-
-# how read_rows turns each ROW_COLUMNS entry back into its ExperimentRow field
-_ROW_CONVERTERS = (int, str, *[float] * 7, _optional_float)
-
-# the JSON types export writes for each ROW_COLUMNS entry (a bool is none of them)
-_JSON_TYPES = (
-    ({int}, "an integer"),
-    ({str}, "a string"),
-    *[({int, float}, "a number")] * 7,
-    ({int, float, type(None)}, "a number or null"),
-)
-
-
 def export(data, path) -> None:
     """Write experiment rows or a summary report to CSV or JSON.
 
@@ -302,50 +288,6 @@ def export(data, path) -> None:
             writer = csv.writer(fh)
             writer.writerow(header)
             writer.writerows([_fmt(v) for v in values] for values in records)
-
-
-def read_rows(path) -> list[ExperimentRow]:
-    """Parse rows written by :func:`export` (CSV or JSON). A file that is not
-    valid UTF-8, CSV or JSON, or a record that is not a row (a missing column,
-    a value its field cannot take, a JSON value of another type than export
-    writes for its column), raises :class:`GalleryFormatError` naming the path
-    and the record: its line in a CSV file, its index in a JSON one."""
-    path = Path(path)
-    as_json = path.suffix.lower() == ".json"
-    try:
-        with open(path, newline="", encoding="utf-8") as fh:
-            if as_json:
-                payload = json.load(fh)
-            else:
-                reader = csv.DictReader(fh)
-                records = [(f"{path}:{reader.line_num}", rec) for rec in reader]
-    except UnicodeDecodeError as exc:
-        raise utf8_error(path) from exc
-    except csv.Error as exc:
-        # line_num counts the lines before the record csv refused
-        raise GalleryFormatError(f"{path}:{reader.line_num + 1}: {exc}") from exc
-    except (ValueError, RecursionError) as exc:
-        # a JSONDecodeError, an integer of more digits than int() takes, or
-        # arrays or objects nested deeper than the decoder recurses
-        raise GalleryFormatError(f"{path}: invalid JSON: {exc}") from exc
-    if as_json:
-        if not isinstance(payload, list):
-            raise GalleryFormatError(f"{path}: expected a list of rows, got {type(payload).__name__}")
-        records = [(f"{path}: row #{i}", rec) for i, rec in enumerate(payload)]
-    rows = []
-    for where, rec in records:
-        try:
-            values = [rec[col] for col in ROW_COLUMNS]
-            if as_json:
-                for col, value, (types, kind) in zip(ROW_COLUMNS, values, _JSON_TYPES):
-                    if type(value) not in types:
-                        raise TypeError(f"{col} must be {kind}, got {type(value).__name__}")
-            rows.append(ExperimentRow(*(convert(v) for v, convert in zip(values, _ROW_CONVERTERS))))
-        except KeyError as exc:
-            raise GalleryFormatError(f"{where}: missing column {exc}") from exc
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise GalleryFormatError(f"{where}: {exc}") from exc
-    return rows
 
 
 def roc_export(dist, path, num_points: int = 1001, epsilon: float = 1e-9) -> None:
@@ -378,8 +320,10 @@ def simulate_stream(
     (``novel-0001``, ``novel-0002``, ... skipping labels already taken) with
     ``auto_register``. Matched queries can additionally be appended to the
     identity they hit with ``append_matched``; by default matching leaves the
-    gallery untouched so evaluation ground truth stays fixed.
+    gallery untouched so evaluation ground truth stays fixed. ``threshold``
+    is checked by :func:`real_number` before any query is read.
     """
+    threshold = real_number(threshold, "threshold")
     if isinstance(queries, (str, Path)):
         queries = _query_stream(queries)
     events = []

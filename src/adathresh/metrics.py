@@ -63,7 +63,9 @@ def rates_at(
     ``tpr_denominator="paper"`` switches TPR to tp/(tp+fp+eps), the literal
     reading of the source formula; the standard tp/(tp+fn+eps) is the default
     because the paper form degenerates the ROC into precision-vs-fallout.
+    ``epsilon`` is checked by :func:`real_number`.
     """
+    epsilon = real_number(epsilon, "epsilon")
     if not 0.0 <= epsilon < math.inf:
         raise InputContractError("epsilon must be finite and >= 0")
     if tpr_denominator not in ("standard", "paper"):
@@ -115,15 +117,19 @@ def roc_auc(dist: SimilarityDistributions) -> float:
     """Exact area under the ROC curve: the Mann-Whitney statistic
     P(auto > cross) + P(auto == cross) / 2 over every auto/cross pair.
 
-    For each cross sample, two binary searches over the sorted auto samples
-    count the auto samples at least as high and those strictly higher; their
-    mean is that cross sample's share of the area, ties counted as one half.
+    For each auto sample, two binary searches over the sorted cross samples
+    count the cross samples strictly below it and those at most it. Summed,
+    they are the pairs with auto > cross and the pairs with auto >= cross,
+    the same two integers that counting auto samples per cross sample would
+    give, so the float is the same. A gallery has one auto sample per
+    identity and one cross sample per pair of identities, so searching from
+    the auto side costs O(A log C) where the other way costs O(C log A).
     """
     _require_samples(dist)
     auto, cross = dist.auto_samples, dist.cross_samples
-    at_least = auto.size - np.searchsorted(auto, cross, side="left")
-    above = auto.size - np.searchsorted(auto, cross, side="right")
-    return float((at_least.sum() + above.sum()) / (2 * auto.size * cross.size))
+    below = np.searchsorted(cross, auto, side="left")
+    at_most = np.searchsorted(cross, auto, side="right")
+    return float((below.sum() + at_most.sum()) / (2 * auto.size * cross.size))
 
 
 def roc_sweep(

@@ -2,14 +2,17 @@
 code paths they check)."""
 
 import bisect
+import csv
+import json
 import math
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from adathresh import Gallery
+from adathresh import ExperimentRow, Gallery
 
 
 def naive_cosine(x, y) -> float:
@@ -177,6 +180,25 @@ def gallery_contents(gallery) -> tuple:
         gallery.change_counter,
         gallery.registrations_since_adapt,
     )
+
+
+def read_exported_rows(path) -> list[ExperimentRow]:
+    """Rows parsed back from a file ``export`` wrote, with the standard
+    library alone: ``csv.DictReader`` or ``json``, then ``int`` for the step
+    and ``float`` for every rate; an empty cell or a null is a missing AUC."""
+    path = Path(path)
+    with open(path, newline="", encoding="utf-8") as fh:
+        records = json.load(fh) if path.suffix == ".json" else list(csv.DictReader(fh))
+    rates = ("lambda", "precision", "recall", "f1", "accuracy", "tpr", "fpr")
+    return [
+        ExperimentRow(
+            int(rec["step"]),
+            rec["threshold_kind"],
+            *(float(rec[col]) for col in rates),
+            auc=None if rec["auc"] in ("", None) else float(rec["auc"]),
+        )
+        for rec in records
+    ]
 
 
 # bytes a mutation inserts or writes over the file: quotes, separators,

@@ -465,16 +465,16 @@ _UTF8_SCRIPT = textwrap.dedent(
 
     from adathresh import (
         Gallery, SimilarityDistributions, SynthSpec, export, export_stream_events,
-        generate_synthetic, read_rows, roc_export, run_incremental, simulate_stream,
-        summarize,
+        generate_synthetic, roc_export, run_incremental, simulate_stream, summarize,
     )
     from adathresh.cli import main
+    from conftest import read_exported_rows
 
     g = generate_synthetic(SynthSpec(4, 3, 8, 0.2, 1.0, rng_seed=1), "g.csv")
     rows = run_incremental(g, fixed_list=[0.5])
     for ext in ("csv", "json"):
         export(rows, f"rows.{ext}")
-        assert read_rows(f"rows.{ext}") == rows
+        assert read_exported_rows(f"rows.{ext}") == rows
         export(summarize(rows), f"summary.{ext}")
     roc_export(SimilarityDistributions([0.9, 0.8], [0.1, 0.2]), "roc.csv")
     named = Gallery(3)
@@ -489,9 +489,11 @@ _UTF8_SCRIPT = textwrap.dedent(
 
 
 def test_every_text_file_is_utf8(tmp_path):
-    src = str(Path(__file__).resolve().parent.parent / "src")
+    tests = Path(__file__).resolve().parent
     env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(tests.parent / "src"), str(tests), env.get("PYTHONPATH")])
+    )
     done = subprocess.run(
         [sys.executable, "-X", "warn_default_encoding", "-W", "error::EncodingWarning",
          "-c", _UTF8_SCRIPT],
@@ -644,3 +646,17 @@ class TestSimulateStream:
         assert code == EXIT_CONTRACT
         assert "NaN" in capsys.readouterr().err
         assert not saved.exists()
+
+    def test_nan_threshold_exit_2_without_queries(self, synth_file, tmp_path, capsys):
+        queries = tmp_path / "queries.csv"
+        Gallery(16).save(queries)
+        code = main(
+            [
+                "simulate-stream",
+                "--gallery", str(synth_file),
+                "--queries", str(queries),
+                "--threshold", "nan",
+            ]
+        )
+        assert code == EXIT_CONTRACT
+        assert "threshold must not be NaN" in capsys.readouterr().err

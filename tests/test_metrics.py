@@ -3,7 +3,7 @@ from dataclasses import fields
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from adathresh import (
@@ -246,6 +246,24 @@ class TestRocAuc:
         oracle = mann_whitney_auc(auto, cross)
         assert roc_auc(dist) == oracle
         assert roc_sweep(dist, 1001).auc == oracle
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        decimals=st.integers(1, 3),
+        auto=st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=60),
+        cross=st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=500),
+    )
+    @example(decimals=1, auto=[0.0, 0.5, 0.5, 1.0] * 15, cross=[-0.5, 0.0, 0.5, 0.5, 1.0] * 100)
+    def test_tie_heavy_auc_has_the_bits_of_the_count_per_cross_sample(self, decimals, auto, cross):
+        # values rounded to 1-3 decimals, so many pairs tie
+        dist = SimilarityDistributions(np.round(auto, decimals), np.round(cross, decimals))
+        a, c = dist.auto_samples, dist.cross_samples
+        # for each cross sample, the auto samples at least as high and those higher
+        at_least = a.size - np.searchsorted(a, c, side="left")
+        above = a.size - np.searchsorted(a, c, side="right")
+        expected = float((at_least.sum() + above.sum()) / (2 * a.size * c.size))
+        assert roc_auc(dist).hex() == expected.hex()
+        assert roc_auc(dist) == mann_whitney_auc(a, c)
 
     @settings(max_examples=40, deadline=None)
     @given(

@@ -13,8 +13,10 @@ from adathresh import (
     SimilarityDistributions,
     SynthSpec,
     generate_synthetic,
+    metrics_at,
     roc_sweep,
     run_incremental,
+    summarize,
 )
 
 PUBLIC = [
@@ -52,7 +54,6 @@ PUBLIC = [
     "maybe_adapt",
     "metrics_at",
     "optimize_f1",
-    "read_rows",
     "roc_auc",
     "roc_export",
     "roc_sweep",
@@ -74,6 +75,7 @@ _SPEC = dict(
 )  # fmt: skip
 _SOURCE = generate_synthetic(SynthSpec(**_SPEC))
 _DIST = SimilarityDistributions([0.9, 0.8], [0.1, 0.2, 0.3])
+_ROWS = run_incremental(_SOURCE, fixed_list=[0.5])
 
 # (the name the error gives, a call that passes one value in that argument)
 _WHOLE = [
@@ -86,6 +88,8 @@ _WHOLE = [
 _REAL = [
     *[(f, lambda v, f=f: SynthSpec(**{**_SPEC, f: v})) for f in ("within_spread", "between_spread")],
     ("fixed threshold", lambda v: run_incremental(_SOURCE, fixed_list=[v])),
+    ("epsilon", lambda v: metrics_at(_DIST, 0.5, epsilon=v)),
+    ("f1_target", lambda v: summarize(_ROWS, v)),
 ]
 
 
