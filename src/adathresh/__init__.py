@@ -2,8 +2,9 @@
 
 Maintains a gallery of identity-labeled feature vectors and keeps a
 classification threshold tuned to it: auto/cross similarity distributions are
-summarized by Gaussians, their intersection seeds the threshold, and bounded
-f1 maximization with an accept-or-retain rule refines it whenever the gallery
+summarized by Gaussians, their intersection seeds the threshold, and when the
+seed's f1 misses the target ``tau`` the exact f1 maximum over [0, 1], which
+never scores below the seed, replaces it. This re-runs whenever the gallery
 changes.
 """
 

@@ -151,7 +151,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("adapt", help="run one adaptation pass and print the state")
-    p.add_argument("--gallery", required=True, help="embedding file (CSV or JSON)")
+    p.add_argument("--gallery", required=True, help="embedding CSV file")
     _config_flags(p, adapts=True)
     p.set_defaults(func=_cmd_adapt)
 

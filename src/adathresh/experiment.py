@@ -152,7 +152,7 @@ def run_incremental(
         )
 
     fixed = [real_number(value, "fixed threshold") for value in fixed_list]
-    kinds = ["adaptive", *(f"fixed@{value:g}" for value in fixed)]
+    kinds = ["adaptive", *(f"fixed@{value!r}" for value in fixed)]
     gallery = Gallery(source.dimension)
     state = None
     rows: list[ExperimentRow] = []
@@ -194,8 +194,9 @@ def generate_synthetic(spec: SynthSpec, path=None) -> Gallery:
     """Clustered unit-sphere embeddings: one random center direction per
     identity, Gaussian jitter within it, everything re-normalized.
 
-    Deterministic for a given seed; written to ``path`` when given (gallery
-    CSV/JSON format by extension).
+    Deterministic for a given seed; written to ``path`` when given (as
+    :meth:`Gallery.save` writes it). Spreads under which a draw's squared
+    norm overflows or underflows to 0 raise :class:`InputContractError`.
     """
     rng = np.random.default_rng(spec.rng_seed)
     gallery = Gallery(spec.dimension)
@@ -203,10 +204,17 @@ def generate_synthetic(spec: SynthSpec, path=None) -> Gallery:
     for i in range(spec.num_identities):
         center = rng.standard_normal(spec.dimension)
         center = center / np.linalg.norm(center) * spec.between_spread
-        # the k draws of one (k, d) call are the k draws of k (d,) calls
-        v = center + spec.within_spread * rng.standard_normal((k, spec.dimension))
-        # np.linalg.norm of one row is the BLAS dot that vecdot takes per row
-        v = v / np.sqrt(np.vecdot(v, v))[:, None]
+        with np.errstate(over="ignore"):
+            # the k draws of one (k, d) call are the k draws of k (d,) calls
+            v = center + spec.within_spread * rng.standard_normal((k, spec.dimension))
+            # np.linalg.norm of one row is the BLAS dot that vecdot takes per row
+            sq = np.vecdot(v, v)
+        if not np.all((sq > 0.0) & (sq < math.inf)):
+            raise InputContractError(
+                f"within_spread {spec.within_spread!r} and between_spread {spec.between_spread!r}"
+                " give an embedding whose squared norm overflows or is 0"
+            )
+        v = v / np.sqrt(sq)[:, None]
         gallery.register_rows([f"id{i:04d}"] * k, v)
     if path is not None:
         gallery.save(path)

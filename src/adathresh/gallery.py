@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import csv
 import itertools
-import json
 import math
 import threading
 from dataclasses import dataclass
@@ -335,7 +334,7 @@ class Gallery:
     # -- persistence ---------------------------------------------------------
 
     def save(self, path) -> None:
-        """Write the gallery to ``path``; .json gets JSON, anything else CSV.
+        """Write the gallery to ``path`` as CSV, whatever its suffix.
 
         The counters and the embeddings are read under one hold of the lock,
         so the file's counters always belong to the rows it holds.
@@ -344,10 +343,7 @@ class Gallery:
         with self._lock:
             counters = {key: getattr(self, key) for key in _COUNTERS}
             embeddings = [e for embs in self._identities.values() for e in embs]
-        if path.suffix.lower() == ".json":
-            self._save_json(path, counters, embeddings)
-        else:
-            self._save_csv(path, counters, embeddings)
+        self._save_csv(path, counters, embeddings)
 
     def _save_csv(self, path: Path, counters: dict, embeddings: list[Embedding]) -> None:
         # one %-format per row, and csv's quoting for the two label fields only
@@ -369,29 +365,13 @@ class Gallery:
             for key, value in counters.items():
                 fh.write(f"# {key}={value}\n")
 
-    def _save_json(self, path: Path, counters: dict, embeddings: list[Embedding]) -> None:
-        payload = {
-            "dimension": self.dimension,
-            **counters,
-            "embeddings": [
-                {
-                    "identity": e.identity,
-                    "instance_id": e.instance_id,
-                    "vector": e.vector.tolist(),
-                }
-                for e in embeddings
-            ],
-        }
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2)
-            fh.write("\n")
-
     @classmethod
     def load(cls, path) -> "Gallery":
-        """Read a gallery saved by :meth:`save` (or any file in those formats).
+        """Read a CSV gallery saved by :meth:`save`, whatever the path's suffix.
 
-        A malformed file, one that is not valid UTF-8 included, raises
-        :class:`GalleryFormatError`. Reading CSV raises the process-wide
+        A malformed file, one that is not valid UTF-8 or does not start
+        with the CSV header included, raises :class:`GalleryFormatError`.
+        Loading raises the process-wide
         ``csv.field_size_limit`` to 2**31 - 1 characters (it never lowers
         it): csv's default of 131,072 refuses a longer quoted label, which
         :meth:`save` writes.
@@ -400,8 +380,6 @@ class Gallery:
         if not path.exists():
             raise InputContractError(f"no such file: {path}")
         try:
-            if path.suffix.lower() == ".json":
-                return cls._load_json(path)
             return cls._load_csv(path)
         except UnicodeDecodeError as exc:
             raise utf8_error(path) from exc
@@ -457,66 +435,23 @@ class Gallery:
         if gallery is None:
             raise GalleryFormatError(f"{path}: empty file, no header row")
         _register_chunk(gallery, path, pending)
-        gallery._apply_meta(path, meta, from_text=True)
+        gallery._apply_meta(path, meta)
         return gallery
 
-    @classmethod
-    def _load_json(cls, path: Path) -> "Gallery":
-        try:
-            with open(path, encoding="utf-8") as fh:
-                payload = json.load(fh)
-        except UnicodeDecodeError:
-            raise
-        except (ValueError, RecursionError) as exc:
-            # a JSONDecodeError, an integer of more digits than int() takes,
-            # or arrays or objects nested deeper than the decoder recurses
-            raise GalleryFormatError(f"{path}: invalid JSON: {exc}") from exc
-        if not isinstance(payload, dict) or "dimension" not in payload:
-            raise GalleryFormatError(f"{path}: missing 'dimension' key")
-        dimension = payload["dimension"]
-        if type(dimension) is not int:
-            raise GalleryFormatError(
-                f"{path}: 'dimension': expected an integer, got {dimension!r}"
-            )
-        try:
-            gallery = cls(dimension)
-        except InputContractError as exc:
-            raise GalleryFormatError(f"{path}: 'dimension': {exc}") from exc
-        entries = payload.get("embeddings", [])
-        if not isinstance(entries, list):
-            raise GalleryFormatError(
-                f"{path}: 'embeddings': expected a list, got {type(entries).__name__}"
-            )
-        # InputContractError is a ValueError, so this clause also turns the
-        # gallery's own validation failures into a format error
-        for i, entry in enumerate(entries):
-            try:
-                gallery.register(
-                    entry["identity"], entry["vector"], instance_id=entry["instance_id"]
-                )
-            except (KeyError, TypeError, ValueError) as exc:
-                raise GalleryFormatError(f"{path}: embedding #{i}: {exc}") from exc
-        gallery._apply_meta(path, payload, from_text=False)
-        return gallery
-
-    def _apply_meta(self, path: Path, meta: dict, from_text: bool) -> None:
-        """Set the counters a file carries; other keys are ignored.
-
-        Each counter must be an integer >= 0: text that ``int()`` parses in a
-        CSV comment (``from_text``), a JSON integer that is not a bool in JSON.
-        """
+    def _apply_meta(self, path: Path, meta: dict) -> None:
+        """Set the counters a file carries, each from comment text that
+        ``int()`` parses to an integer >= 0; other keys are ignored."""
         for key in _COUNTERS:
             if key not in meta:
                 continue
-            value = meta[key]
-            if from_text:
-                try:
-                    value = int(value)
-                except ValueError:
-                    pass
-            if type(value) is not int or value < 0:
+            text = meta[key]
+            try:
+                value = int(text)
+            except ValueError:
+                value = None
+            if value is None or value < 0:
                 raise GalleryFormatError(
-                    f"{path}: {key!r}: expected an integer >= 0, got {meta[key]!r}"
+                    f"{path}: {key!r}: expected an integer >= 0, got {text!r}"
                 )
             setattr(self, key, value)
 

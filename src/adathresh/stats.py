@@ -58,15 +58,19 @@ def estimate_gaussian(samples) -> GaussianEstimate:
     """Fit a descriptive Gaussian: sample mean and population (1/n) deviation.
 
     Raises DegenerateDataError when there are fewer than two samples or all
-    samples coincide (zero variance).
+    samples coincide (zero variance), and InputContractError when the mean
+    or the variance is not finite (a NaN or infinite sample, or an overflow).
     """
     arr = np.asarray(samples, dtype=np.float64)
     if arr.ndim != 1:
         raise InputContractError(f"expected a flat sample list, got shape {arr.shape}")
     if arr.size < 2:
         raise DegenerateDataError(f"need at least 2 samples, got {arr.size}")
-    mu = float(arr.mean())
-    nu = _sum_sq_dev(arr, mu) / arr.size
+    with np.errstate(over="ignore", invalid="ignore"):
+        mu = float(arr.mean())
+        nu = _sum_sq_dev(arr, mu) / arr.size
+    if not (math.isfinite(mu) and math.isfinite(nu)):
+        raise InputContractError(f"samples need a finite mean and variance, got {mu} and {nu}")
     if nu == 0.0:
         raise DegenerateDataError("all samples identical: zero variance")
     return GaussianEstimate(mu=mu, sigma=math.sqrt(nu), nu=nu, n=int(arr.size))

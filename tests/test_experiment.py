@@ -56,6 +56,13 @@ class TestRunIncremental:
         kinds = {r.threshold_kind for r in rows}
         assert kinds == {"adaptive", "fixed@0.3", "fixed@0.5", "fixed@0.7"}
 
+    def test_thresholds_equal_to_six_digits_keep_their_own_kinds(self):
+        g = generate_synthetic(small_spec())
+        rows = run_incremental(g, AdaptConfig(), [0.3, 0.30000001, 1.0])
+        kinds = ["adaptive", "fixed@0.3", "fixed@0.30000001", "fixed@1.0"]
+        assert [r.threshold_kind for r in rows[:4]] == kinds
+        assert [k.threshold_kind for k in summarize(rows).kinds] == kinds
+
     def test_separable_set_perfect_adaptive_f1(self):
         g = generate_synthetic(small_spec(within_spread=0.02))
         rows = run_incremental(g, AdaptConfig(), [0.5])

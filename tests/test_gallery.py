@@ -116,13 +116,12 @@ class TestRegister:
             g.register("c", [0, 0, 1], instance_id=instance_id)
         assert (len(g), g.change_counter) == (3, 3)
         # the saved files hold only the stored rows, and load as they were
-        for name in ("g.csv", "g.json"):
-            g.save(tmp_path / name)
-            loaded = Gallery.load(tmp_path / name)
-            assert [(e.instance_id, e.vector.tolist()) for e in loaded.embeddings_of("a")] == [
-                (e.instance_id, e.vector.tolist()) for e in g.embeddings_of("a")
-            ]
-            assert loaded.identities == ["a", "b"]
+        g.save(tmp_path / "g.csv")
+        loaded = Gallery.load(tmp_path / "g.csv")
+        assert [(e.instance_id, e.vector.tolist()) for e in loaded.embeddings_of("a")] == [
+            (e.instance_id, e.vector.tolist()) for e in g.embeddings_of("a")
+        ]
+        assert loaded.identities == ["a", "b"]
 
     def test_registrations_counter(self):
         g = two_identity_gallery()
@@ -799,12 +798,18 @@ class TestPersistence:
         g.remove(g.embeddings_of("person 0")[0].instance_id)
         self.round_trip(g, tmp_path / "gallery.csv")
 
-    def test_json_round_trip(self, tmp_path):
+    @pytest.mark.parametrize("name", ["g.csv", "g.json", "g.txt", "g"])
+    def test_any_suffix_round_trips_as_csv(self, tmp_path, name):
         rng = np.random.default_rng(63)
         g = Gallery(4)
         for i in range(2):
             g.register(f"id{i}", rng.standard_normal(4))
-        self.round_trip(g, tmp_path / "gallery.json")
+        (tmp_path / "csv").mkdir()
+        reference = tmp_path / "csv" / "g.csv"
+        g.save(reference)
+        loaded = self.round_trip(g, tmp_path / name)
+        assert (tmp_path / name).read_bytes() == reference.read_bytes()
+        assert gallery_contents(loaded) == gallery_contents(Gallery.load(reference))
 
     def test_header_only_csv(self, tmp_path):
         path = tmp_path / "empty.csv"
@@ -874,18 +879,6 @@ class TestPersistence:
         with pytest.raises(GalleryFormatError):
             Gallery.load(path)
 
-    def test_plain_json_without_counters(self, tmp_path):
-        path = tmp_path / "foreign.json"
-        payload = {
-            "dimension": 2,
-            "embeddings": [
-                {"identity": "a", "instance_id": "x1", "vector": [1.0, 0.0]}
-            ],
-        }
-        path.write_text(json.dumps(payload))
-        g = Gallery.load(path)
-        assert g.change_counter == 1  # behaves as freshly registered
-
     def test_csv_cut_at_a_row_boundary_loads_the_rows_it_holds(self, tmp_path):
         # the rule: a CSV cut after any whole row reads as a shorter file
         # without the counter trailer, as a hand-written one is. Its rows
@@ -950,8 +943,7 @@ class TestPersistence:
         for k, (label, instance_id) in enumerate(entries):
             g.register(label, [1.0, float(k)], instance_id=instance_id)
         with tempfile.TemporaryDirectory() as tmp:
-            for name in ("g.csv", "g.json"):
-                self.round_trip(g, Path(tmp) / name)
+            self.round_trip(g, Path(tmp) / "g.csv")
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -969,28 +961,24 @@ class TestPersistence:
         for k, vector in enumerate(vectors):
             g.register(f"id{k % 2}", vector)
         with tempfile.TemporaryDirectory() as tmp:
-            for name in ("g.csv", "g.json"):
-                self.round_trip(g, Path(tmp) / name)
+            self.round_trip(g, Path(tmp) / "g.csv")
 
-    @pytest.mark.parametrize("name", ["g.csv", "g.json"])
-    def test_a_byte_that_is_not_utf8_is_a_format_error(self, tmp_path, name):
+    def test_a_byte_that_is_not_utf8_is_a_format_error(self, tmp_path):
         g = Gallery(2)
         g.register("é", [1.0, 0.0])
         g.register("b", [0.0, 1.0])
-        path = tmp_path / name
+        path = tmp_path / "g.csv"
         g.save(path)
         data = path.read_bytes()
         # the label b, after a label that is valid UTF-8 of two bytes
-        label = b'"b"' if name.endswith("json") else b"\nb,"
-        at = data.index(label) + 1
+        at = data.index(b"\nb,") + 1
         line = data.count(b"\n", 0, at) + 1
         path.write_bytes(data[:at] + b"\xe9" + data[at + 1 :])
-        with pytest.raises(GalleryFormatError, match=rf"{name}:{line}: not valid UTF-8"):
+        with pytest.raises(GalleryFormatError, match=rf"g\.csv:{line}: not valid UTF-8"):
             Gallery.load(path)
 
     @settings(max_examples=300, deadline=None)
     @given(
-        suffix=st.sampled_from([".csv", ".json"]),
         edits=st.lists(
             st.tuples(
                 st.sampled_from(["truncate", "flip", "delete", "insert"]),
@@ -1001,13 +989,13 @@ class TestPersistence:
             max_size=3,
         ),
     )
-    def test_a_damaged_file_loads_or_raises_a_format_error(self, suffix, edits):
+    def test_a_damaged_file_loads_or_raises_a_format_error(self, edits):
         g = Gallery(3)
         g.register('a,"é', [1.0, 2.0, 3.5e-300])
         g.register("#b", [0.1, -2.0, 3.0], instance_id="x\ny")
         g.register("c", [1e300, 2.0, 3.0])
         with tempfile.TemporaryDirectory() as tmp:
-            path = Path(tmp) / f"g{suffix}"
+            path = Path(tmp) / "g.csv"
             g.save(path)
             data = bytearray(path.read_bytes())
             for op, position, byte in edits:
@@ -1024,8 +1012,7 @@ class TestPersistence:
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
                 state = loaded_state(Gallery.load, path)
-            if suffix == ".csv":
-                assert state == loaded_state(per_row_csv_load, path)
+            assert state == loaded_state(per_row_csv_load, path)
 
 
 def per_float_csv(gallery, path):
@@ -1174,17 +1161,16 @@ class TestBatchedPersistence:
         with tempfile.TemporaryDirectory() as tmp, mock.patch.object(
             adathresh.gallery, "_LOAD_CHUNK", chunk
         ):
-            for name in ("g.csv", "g.json"):
-                g.save(Path(tmp) / name)
-                with warnings.catch_warnings():
-                    warnings.simplefilter("error")
-                    loaded = Gallery.load(Path(tmp) / name)
-                _, unit, _ = loaded.unit_rows()
-                raw = [e for label in loaded.identities for e in loaded.embeddings_of(label)]
-                # generated in identity order, so registration order is too
-                assert len(raw) == unit.shape[0] == len(vectors)
-                for row, e in zip(unit, raw):
-                    assert row.tobytes() == unit_vector(e.vector).tobytes()
+            g.save(Path(tmp) / "g.csv")
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                loaded = Gallery.load(Path(tmp) / "g.csv")
+            _, unit, _ = loaded.unit_rows()
+            raw = [e for label in loaded.identities for e in loaded.embeddings_of(label)]
+            # generated in identity order, so registration order is too
+            assert len(raw) == unit.shape[0] == len(vectors)
+            for row, e in zip(unit, raw):
+                assert row.tobytes() == unit_vector(e.vector).tobytes()
         # and the block as one input: each row has the bits of its own call
         block = np.array(vectors, dtype=np.float64)
         for row, vector in zip(unit_rows(block), block):
@@ -1325,12 +1311,11 @@ class TestBatchedPersistence:
         g = Gallery(4)
         for k in range(5):
             g.register(f"id{k % 2}", rng.standard_normal(4))
-        for name in ("g.csv", "g.json"):
-            g.save(tmp_path / name)
-            loaded = Gallery.load(tmp_path / name)
-            for label in loaded.identities:
-                for e in loaded.embeddings_of(label):
-                    assert e.vector.base is None and e.vector.flags.owndata
+        g.save(tmp_path / "g.csv")
+        loaded = Gallery.load(tmp_path / "g.csv")
+        for label in loaded.identities:
+            for e in loaded.embeddings_of(label):
+                assert e.vector.base is None and e.vector.flags.owndata
 
     # a valid 300-row file (two chunks) with line 1 the header, so row k
     # (from 0) is on line k + 2; each case breaks one row of the second chunk
@@ -1375,56 +1360,12 @@ class TestBatchedPersistence:
         with pytest.raises(GalleryFormatError) as info:
             Gallery.load(path)
         assert str(info.value) == f"{path}:{k + 2}: {message}"
-        if k < 273:  # the same rows as JSON name the entry
-            entries = [
-                {"identity": a, "instance_id": b, "vector": [float(x) for x in v]}
-                for a, b, v in rows
-            ]
-            path = tmp_path / "g.json"
-            path.write_text(json.dumps({"dimension": 2, "embeddings": entries}))
-            with pytest.raises(GalleryFormatError) as info:
-                Gallery.load(path)
-            assert str(info.value) == f"{path}: embedding #{k}: {message}"
 
     @pytest.mark.parametrize("later", [("b", "y", ["1", "zebra"]), ("b", "y", ["1"])])
     def test_an_earlier_bad_row_fails_before_a_later_unparsable_one(self, tmp_path, later):
         path = tmp_path / "g.csv"
         path.write_text(csv_lines([("a", "x", ["1", "0"]), ("a", "x", ["0", "1"]), later]))
         with pytest.raises(GalleryFormatError, match=r"g\.csv:3: instance id 'x' already present"):
-            Gallery.load(path)
-
-    def test_an_earlier_bad_entry_fails_before_a_later_malformed_one(self, tmp_path):
-        path = tmp_path / "g.json"
-        entries = [
-            {"identity": "a", "instance_id": "x", "vector": [1.0, 0.0]},
-            {"identity": "a", "instance_id": "x", "vector": [0.0, 1.0]},
-            {"identity": "a", "instance_id": "y", "vector": "zebra"},
-            {"identity": "a", "vector": [0.0, 1.0]},
-        ]
-        for last in (2, 3):
-            payload = {"dimension": 2, "embeddings": entries[:2] + entries[last : last + 1]}
-            path.write_text(json.dumps(payload))
-            with pytest.raises(GalleryFormatError, match="embedding #1: instance id 'x'"):
-                Gallery.load(path)
-
-    @pytest.mark.parametrize(
-        "entry, message",
-        [
-            ({"identity": "a", "instance_id": "y", "vector": "zebra"}, "could not convert"),
-            ({"identity": "", "instance_id": "y", "vector": "zebra"}, "non-empty string"),
-            ({"identity": "a", "vector": [0.0, 1.0]}, "'instance_id'"),
-            ({"identity": "a", "instance_id": "y", "vector": [[0.0, 1.0]]}, r"shape \(1, 2\)"),
-            ({"identity": "a", "instance_id": ["y"], "vector": [0.0, 1.0]}, "string, got list"),
-            ([1, 2], "list indices"),
-            ({"identity": "a", "instance_id": 5, "vector": [0.0, 1.0]}, "string, got int"),
-            ({"identity": "a", "instance_id": "y", "vector": [10**400, 1.0]}, "non-finite values"),
-        ],
-    )
-    def test_malformed_entry_gets_the_error_register_gives(self, tmp_path, entry, message):
-        path = tmp_path / "g.json"
-        ok = {"identity": "a", "instance_id": "x", "vector": [1.0, 0.0]}
-        path.write_text(json.dumps({"dimension": 2, "embeddings": [ok, entry]}))
-        with pytest.raises(GalleryFormatError, match=f"embedding #1: .*{message}"):
             Gallery.load(path)
 
     def test_load_memory_is_a_few_galleries_of_floats(self, tmp_path):
@@ -1512,25 +1453,24 @@ class TestConcurrency:
     def test_saved_counters_belong_to_saved_rows(self, tmp_path):
         # a registration that lands while save runs must not reach the file's
         # counters without its row
-        for name in ("g.csv", "g.json"):
-            g = two_identity_gallery()
-            lock = g._lock
+        g = two_identity_gallery()
+        lock = g._lock
 
-            class RegistersOnFirstRelease:
-                released = False
+        class RegistersOnFirstRelease:
+            released = False
 
-                def __enter__(self):
-                    return lock.__enter__()
+            def __enter__(self):
+                return lock.__enter__()
 
-                def __exit__(self, *exc):
-                    lock.__exit__(*exc)
-                    if not RegistersOnFirstRelease.released:
-                        RegistersOnFirstRelease.released = True
-                        g.register("late", [0.0, 0.0, 1.0])
+            def __exit__(self, *exc):
+                lock.__exit__(*exc)
+                if not RegistersOnFirstRelease.released:
+                    RegistersOnFirstRelease.released = True
+                    g.register("late", [0.0, 0.0, 1.0])
 
-            g._lock = RegistersOnFirstRelease()
-            g.save(tmp_path / name)
-            assert len(g) == 4  # the late registration did land
-            loaded = Gallery.load(tmp_path / name)
-            assert loaded.change_counter == len(loaded)
-            assert loaded.registrations_since_adapt == len(loaded)
+        g._lock = RegistersOnFirstRelease()
+        g.save(tmp_path / "g.csv")
+        assert len(g) == 4  # the late registration did land
+        loaded = Gallery.load(tmp_path / "g.csv")
+        assert loaded.change_counter == len(loaded)
+        assert loaded.registrations_since_adapt == len(loaded)

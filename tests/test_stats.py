@@ -48,6 +48,14 @@ class TestEstimateGaussian:
         with pytest.raises(DegenerateDataError):
             estimate_gaussian([0.5])
 
+    # a NaN, an infinity, and finite samples whose squared deviations overflow
+    @pytest.mark.parametrize(
+        "samples", [[math.nan, 1.0], [0.1, math.inf], [1e200, -1e200]], ids=["nan", "inf", "1e200"]
+    )
+    def test_a_non_finite_mean_or_variance_is_a_contract_error(self, samples):
+        with pytest.raises(InputContractError, match="finite mean and variance"):
+            estimate_gaussian(samples)
+
     def test_four_point_population_variance(self):
         vals = [0.2, 0.4, 0.6, 0.8]
         mu = sum(vals) / 4.0
