@@ -82,14 +82,8 @@ def _cmd_simulate(args) -> int:
         fixed = [float(v) for v in args.fixed.split(",") if v.strip()] if args.fixed else []
     except ValueError as exc:
         raise InputContractError(f"--fixed: {exc}") from exc
-    rows = run_incremental(
-        args.embeddings,
-        config,
-        fixed,
-        identity_order=args.order,
-        seed=args.seed,
-        per_step_roc=args.per_step_roc,
-    )
+    gallery = Gallery.load(args.embeddings)
+    rows = run_incremental(gallery, config, fixed, identity_order=args.order, seed=args.seed)
     export(rows, args.out)
     if args.summary:
         export(summarize(rows), args.summary)
@@ -122,9 +116,11 @@ def _cmd_roc(args) -> int:
 
 def _cmd_stream(args) -> int:
     gallery = Gallery.load(args.gallery)
+    source = Gallery.load(args.queries)
+    queries = [e for label in source.identities for e in source.embeddings_of(label)]
     events = simulate_stream(
         gallery,
-        args.queries,
+        queries,
         threshold=args.threshold,
         auto_register=args.auto_register,
         append_matched=args.append_matched,
@@ -160,9 +156,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--fixed", default="0.3,0.5,0.7", help="comma list of fixed thresholds")
     p.add_argument("--order", choices=["input", "shuffle"], default="input")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", required=True, help="rows CSV/JSON path")
-    p.add_argument("--summary", help="optional summary JSON path")
-    p.add_argument("--per-step-roc", action="store_true", help="AUC at every step")
+    p.add_argument("--out", required=True, help="rows CSV path, whatever its suffix")
+    p.add_argument("--summary", help="optional summary JSON path, whatever its suffix")
     _config_flags(p, adapts=True)
     p.set_defaults(func=_cmd_simulate)
 

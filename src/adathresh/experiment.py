@@ -6,8 +6,8 @@ import csv
 import json
 import math
 import random
+from collections.abc import Sequence
 from dataclasses import asdict, dataclass, fields
-from pathlib import Path
 
 import numpy as np
 
@@ -109,21 +109,15 @@ class StreamEvent:
     action: str
 
 
-def _as_gallery(source) -> Gallery:
-    if isinstance(source, Gallery):
-        return source
-    return Gallery.load(source)
-
-
 def run_incremental(
-    embeddings_source,
+    source: Gallery,
     config: AdaptConfig | None = None,
     fixed_list=(0.3, 0.5, 0.7),
     identity_order: str = "input",
     seed: int = 0,
-    per_step_roc: bool = False,
 ) -> list[ExperimentRow]:
-    """Grow the gallery one identity at a time, adapting and scoring each step.
+    """Grow a gallery through ``source``'s identities one at a time, adapting
+    and scoring each step.
 
     The gallery starts with the first two identities; each later step
     registers all embeddings of one more identity, re-runs adaptation, and
@@ -134,11 +128,11 @@ def run_incremental(
     samples, and nothing is logged; a warning means adaptation failed on
     samples that were estimable.
 
-    Emits one row per (step, threshold kind); the final step always carries
-    the exact ROC AUC, every step does with ``per_step_roc``.
+    Emits one row per (step, threshold kind); only the final step carries
+    the exact ROC AUC. Two fixed thresholds that compare equal raise
+    :class:`InputContractError`.
     """
     config = config or AdaptConfig()
-    source = _as_gallery(embeddings_source)
     labels = source.identities
     if len(labels) < 2:
         raise InputContractError("need at least 2 identities for an incremental run")
@@ -152,6 +146,8 @@ def run_incremental(
         )
 
     fixed = [real_number(value, "fixed threshold") for value in fixed_list]
+    if len(set(fixed)) < len(fixed):  # 0.0 and -0.0 are one value here
+        raise InputContractError(f"fixed thresholds must differ, got {fixed}")
     kinds = ["adaptive", *(f"fixed@{value!r}" for value in fixed)]
     gallery = Gallery(source.dimension)
     state = None
@@ -181,7 +177,7 @@ def run_incremental(
         # kind scores exactly as it would alone
         thresholds = np.array([adaptive_lambda, *fixed], dtype=np.float64)
         r = rates_at(dist, thresholds, config.epsilon, config.tpr_denominator)
-        auc = roc_auc(dist) if per_step_roc or step == len(labels) else None
+        auc = roc_auc(dist) if step == len(labels) else None
         columns = (thresholds, r.precision, r.recall, r.f1, r.accuracy, r.tpr, r.fpr)
         rows.extend(
             ExperimentRow(step, kind, *values, auc=auc)
@@ -266,36 +262,22 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _values(record) -> list:
-    return [getattr(record, f.name) for f in fields(record)]
-
-
 def export(data, path) -> None:
-    """Write experiment rows or a summary report to CSV or JSON.
+    """Write experiment rows as CSV under ``ROW_COLUMNS``, or a summary report
+    as indented JSON, whatever the path's suffix.
 
-    The path extension picks the format: .json means JSON, anything else CSV.
-    Values are written in field order (rows under ``ROW_COLUMNS``, a report's
-    CSV under ``KindSummary``'s field names); floats carry 17 significant
+    Row values are written in field order; their floats carry 17 significant
     digits so parsing them back is lossless.
     """
-    path = Path(path)
     if isinstance(data, SummaryReport):
-        header = [f.name for f in fields(KindSummary)]
-        records = [_values(k) for k in data.kinds]
-        payload = asdict(data)
-    else:
-        header = ROW_COLUMNS
-        records = [_values(r) for r in data]
-        payload = [dict(zip(header, values)) for values in records]
-    if path.suffix.lower() == ".json":
         with open(path, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2)
+            json.dump(asdict(data), fh, indent=2)
             fh.write("\n")
-    else:
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(header)
-            writer.writerows([_fmt(v) for v in values] for values in records)
+        return
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(ROW_COLUMNS)
+        writer.writerows([_fmt(getattr(r, f.name)) for f in fields(r)] for r in data)
 
 
 def roc_export(dist, path, num_points: int = 1001, epsilon: float = 1e-9) -> None:
@@ -310,30 +292,23 @@ def roc_export(dist, path, num_points: int = 1001, epsilon: float = 1e-9) -> Non
         fh.write(f"# auc={format(roc.auc, FLOAT_FORMAT)}\n")
 
 
-def _query_stream(source) -> list[Embedding]:
-    gallery = _as_gallery(source)
-    return [e for label in gallery.identities for e in gallery.embeddings_of(label)]
-
-
 def simulate_stream(
     gallery: Gallery,
-    queries,
+    queries: Sequence[Embedding],
     threshold: float,
     auto_register: bool = False,
     append_matched: bool = False,
 ) -> list[StreamEvent]:
-    """Replay queries against the gallery under the chosen registration policy.
+    """Replay queries, in order, against the gallery under the chosen registration policy.
 
     Unmatched queries are rejected, or stored as brand-new identities
     (``novel-0001``, ``novel-0002``, ... skipping labels already taken) with
     ``auto_register``. Matched queries can additionally be appended to the
     identity they hit with ``append_matched``; by default matching leaves the
     gallery untouched so evaluation ground truth stays fixed. ``threshold``
-    is checked by :func:`real_number` before any query is read.
+    is checked by :func:`real_number` before any query is matched.
     """
     threshold = real_number(threshold, "threshold")
-    if isinstance(queries, (str, Path)):
-        queries = _query_stream(queries)
     events = []
     novel_count = 0
     for q in queries:

@@ -3,10 +3,8 @@ code paths they check)."""
 
 import bisect
 import csv
-import json
 import math
 import re
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -184,18 +182,17 @@ def gallery_contents(gallery) -> tuple:
 
 def read_exported_rows(path) -> list[ExperimentRow]:
     """Rows parsed back from a file ``export`` wrote, with the standard
-    library alone: ``csv.DictReader`` or ``json``, then ``int`` for the step
-    and ``float`` for every rate; an empty cell or a null is a missing AUC."""
-    path = Path(path)
+    library alone: ``csv.DictReader``, then ``int`` for the step and
+    ``float`` for every rate; an empty cell is a missing AUC."""
     with open(path, newline="", encoding="utf-8") as fh:
-        records = json.load(fh) if path.suffix == ".json" else list(csv.DictReader(fh))
+        records = list(csv.DictReader(fh))
     rates = ("lambda", "precision", "recall", "f1", "accuracy", "tpr", "fpr")
     return [
         ExperimentRow(
             int(rec["step"]),
             rec["threshold_kind"],
             *(float(rec[col]) for col in rates),
-            auc=None if rec["auc"] in ("", None) else float(rec["auc"]),
+            auc=None if rec["auc"] == "" else float(rec["auc"]),
         )
         for rec in records
     ]

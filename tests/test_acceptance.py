@@ -205,7 +205,7 @@ def test_criterion_7_determinism_and_round_trips(tmp_path):
             emb = tmp_path / f"{tag}-emb.csv"
             rows_path = tmp_path / f"{tag}-rows.csv"
             generate_synthetic(spec, emb)
-            rows = run_incremental(emb, AdaptConfig(), [0.3, 0.5, 0.7])
+            rows = run_incremental(Gallery.load(emb), AdaptConfig(), [0.3, 0.5, 0.7])
             export(rows, rows_path)
             outputs.append((emb.read_bytes(), rows_path.read_bytes()))
         assert outputs[0] == outputs[1]

@@ -273,28 +273,37 @@ class TestAdapt:
 
 class TestSimulate:
     def test_rows_and_summary(self, synth_file, tmp_path):
-        rows_path = tmp_path / "rows.csv"
-        summary_path = tmp_path / "summary.json"
-        code = main(
-            [
-                "simulate",
-                "--embeddings", str(synth_file),
-                "--fixed", "0.3,0.5,0.7",
-                "--out", str(rows_path),
-                "--summary", str(summary_path),
-            ]
-        )
-        assert code == EXIT_OK
-        with open(rows_path) as fh:
-            rows = list(csv.DictReader(fh))
-        assert len(rows) == 5 * 4  # (6 - 1) steps x 4 kinds
-        summary = json.loads(summary_path.read_text())
-        assert {k["threshold_kind"] for k in summary["kinds"]} == {
-            "adaptive",
-            "fixed@0.3",
-            "fixed@0.5",
-            "fixed@0.7",
-        }
+        # rows are CSV and the summary JSON whatever the suffix
+        for rows_name, summary_name in (("rows.csv", "summary.json"), ("rows.json", "s.csv")):
+            rows_path = tmp_path / rows_name
+            summary_path = tmp_path / summary_name
+            code = main(
+                [
+                    "simulate",
+                    "--embeddings", str(synth_file),
+                    "--fixed", "0.3,0.5,0.7",
+                    "--out", str(rows_path),
+                    "--summary", str(summary_path),
+                ]
+            )
+            assert code == EXIT_OK
+            with open(rows_path) as fh:
+                rows = list(csv.DictReader(fh))
+            assert len(rows) == 5 * 4  # (6 - 1) steps x 4 kinds
+            summary = json.loads(summary_path.read_text())
+            assert {k["threshold_kind"] for k in summary["kinds"]} == {
+                "adaptive",
+                "fixed@0.3",
+                "fixed@0.5",
+                "fixed@0.7",
+            }
+
+    def test_repeated_fixed_threshold_exit_2(self, synth_file, tmp_path, capsys):
+        out = tmp_path / "rows.csv"
+        argv = ["simulate", "--embeddings", str(synth_file), "--out", str(out)]
+        assert main([*argv, "--fixed", "0.3,0.3"]) == EXIT_CONTRACT
+        assert "fixed thresholds must differ" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_nan_fixed_threshold_exit_2(self, synth_file, tmp_path, capsys):
         out = tmp_path / "rows.csv"
@@ -379,7 +388,6 @@ OPTIONS = {
     "adapt": {"--gallery"} | CONFIG_FLAGS,
     "simulate": {
         "--embeddings", "--fixed", "--order", "--seed", "--out", "--summary",
-        "--per-step-roc",
     } | CONFIG_FLAGS,
     "synth": {
         "--identities", "--per-identity", "--dim", "--within", "--between", "--seed",
@@ -579,6 +587,26 @@ class TestSimulateStream:
         assert events[0]["action"] == "registered"
         after = Gallery.load(saved)
         assert "novel-0001" in after.identities
+
+    def test_queries_replay_in_identity_order(self, tmp_path, capsys):
+        gallery, queries = tmp_path / "g.csv", tmp_path / "q.csv"
+        gallery.write_text("identity,instance_id,v0,v1,v2\na,g1,1,0,0\nb,g2,0,1,0\n")
+        # the file interleaves x and y; the stream takes x's queries, then y's
+        queries.write_text(
+            "identity,instance_id,v0,v1,v2\n"
+            "x,q1,0,0,1\ny,q2,0,0.6,-0.8\nx,q3,0,0.1,1\ny,q4,0,0.6,-0.8\n"
+        )
+        argv = ["simulate-stream", "--gallery", str(gallery), "--queries", str(queries),
+                "--threshold", "0.9", "--auto-register"]  # fmt: skip
+        assert main(argv) == EXIT_OK
+        out = capsys.readouterr()
+        assert out.out == (
+            "q1\tregistered\t-\t0.000000\n"
+            "q3\tmatched\tnovel-0001\t0.995037\n"
+            "q2\tregistered\t-\t0.600000\n"
+            "q4\tmatched\tnovel-0002\t1.000000\n"
+        )
+        assert out.err == "2/4 queries matched\n"
 
     def test_nan_threshold_exit_2(self, synth_file, tmp_path, capsys):
         queries = tmp_path / "queries.csv"
